@@ -13,10 +13,10 @@ Two interchangeable backends produce the per-iteration samples:
   enumerated once; a sample is marked (objective below threshold) with the
   exact Grover probability sin^2((2L+1) * asin(sqrt(t/|S|))) and drawn
   uniformly within its class.
-* ``exact``    -- dense statevector evolution of the actual circuit, using a
-  vectorized form of the preparation operator (diagonal phase ladder plus a
-  fast Fourier transform for the inverse QFT) that is unitarily identical to
-  the gate-level construction.
+* ``exact``    -- the actual circuit's statevector: a vectorized preparation
+  (phase ladder plus an FFT for the inverse QFT), unitarily identical to the
+  gate-level construction; L Grover steps then follow in closed form (see
+  ExactEngine, whose ``grover_step`` is the reference the tests check).
 
 Query accounting: one iteration with L Grover applications costs L + 1
 queries (the +1 is the state preparation/measurement).  The initial
@@ -41,14 +41,16 @@ class SpaceScaleError(ValueError):
     """Raised when a search space is too large to enumerate or simulate."""
 
 
+def amplified_probability(fraction: float, rotations: int) -> float:
+    """Marked probability sin^2((2L+1) asin(sqrt(fraction))) after L = `rotations` steps."""
+    return math.sin((2 * rotations + 1) * math.asin(math.sqrt(fraction))) ** 2
+
+
 def marked_probability(marked: int, size: int, rotations: int) -> float:
     """Probability that `rotations` Grover steps end on a marked state."""
     if not 0 <= marked <= size:
         raise ValueError("marked count out of range")
-    if marked == 0:
-        return 0.0
-    angle = math.asin(math.sqrt(marked / size))
-    return math.sin((2 * rotations + 1) * angle) ** 2
+    return amplified_probability(marked / size, rotations)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +126,11 @@ class ExactEngine:
     preparation applies the initial superposition, the diagonal phase ladder
     for scale*(E(x) - y), and the inverse Fourier transform along the value
     axis.  A Grover step is the sign-bit oracle followed by the reflection
-    about the prepared state, which only needs the prepared state itself.
+    about the prepared state, so L steps rotate the state in the plane of the
+    prepared state's marked (sign bit set) and unmarked parts: x is read with
+    probability sin^2((2L+1)theta) p_m(x) + cos^2((2L+1)theta) p_u(x), where
+    sin^2(theta) is the marked mass and p_m, p_u are the parts' marginals.
+    One split per threshold serves every L; `grover_step` is the test reference.
 
     ``scale`` multiplies the objective inside the register (thresholds and
     reported values stay unscaled); choosing a scale that makes all values
@@ -138,12 +144,12 @@ class ExactEngine:
                 f"{n} binary variables exceed the exact backend cap {EXACT_VARIABLE_CAP}"
             )
         self.form = form
+        self.size = form.space_size
         self.scale = float(scale)
         self.values = form.poly.evaluate_table()
         if form.kind is FormulationKind.QUBO_DICKE:
             support = np.zeros(1 << n, dtype=bool)
-            size = form.size_n**form.size_n
-            for rank in range(size):
+            for rank in range(self.size):
                 support[dicke_rank_to_bits(form, rank)] = True
             self.support = support
         else:
@@ -157,14 +163,14 @@ class ExactEngine:
                 f"{n}+{self.width} qubits exceed the statevector cap; "
                 "use the emulated backend"
             )
-        amp = 1.0 / math.sqrt(int(self.support.sum()))
+        amp = 1.0 / math.sqrt(self.size)
         self._init = np.where(self.support, amp, 0.0).astype(np.complex128)
         half = 1 << (self.width - 1)
         signs = np.ones(1 << self.width)
         signs[half:] = -1.0
         self._oracle = signs[:, np.newaxis]
         self._z = np.arange(1 << self.width)[:, np.newaxis]
-        self._cumulative_cache: dict[tuple[float, int], np.ndarray] = {}
+        self._splits: dict[float, tuple[float, np.ndarray, np.ndarray]] = {}
 
     def prepared_state(self, threshold: float) -> np.ndarray:
         """Grid (2^m, 2^n) of amplitudes after the preparation operator."""
@@ -180,36 +186,40 @@ class ExactEngine:
         overlap = np.vdot(prepared, flipped)
         return 2.0 * overlap * prepared - flipped
 
-    def variable_distribution(self, threshold: float, rotations: int) -> np.ndarray:
-        prepared = self.prepared_state(threshold)
-        state = prepared
-        for _ in range(rotations):
-            state = self.grover_step(state, prepared)
-        probs = np.sum(np.abs(state) ** 2, axis=0)
-        return probs / probs.sum()
+    def _split(self, threshold: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """sin^2(theta), rows (p_u, p_m) and their cumsums ending at exactly 1 (or all 0)."""
+        split = self._splits.get(threshold)
+        if split is None:
+            if len(self._splits) > 512:
+                self._splits.clear()
+            probs = np.abs(self.prepared_state(threshold)) ** 2
+            parts = probs.reshape(2, -1, probs.shape[1]).sum(axis=1)
+            cumulative = np.cumsum(parts, axis=1)
+            masses = cumulative[:, -1:]
+            norm = np.where(masses > 0.0, masses, 1.0)
+            split = (float(masses[1, 0] / masses.sum()), parts / norm, cumulative / norm)
+            self._splits[threshold] = split
+        return split
 
-    def _cumulative(self, threshold: float, rotations: int) -> np.ndarray:
-        # The adaptive loop revisits the same (threshold, rotations) pairs
-        # many times; one evolved distribution serves them all.
-        key = (threshold, rotations)
-        cached = self._cumulative_cache.get(key)
-        if cached is None:
-            if len(self._cumulative_cache) > 512:
-                self._cumulative_cache.clear()
-            cached = np.cumsum(self.variable_distribution(threshold, rotations))
-            self._cumulative_cache[key] = cached
-        return cached
+    def variable_distribution(self, threshold: float, rotations: int) -> np.ndarray:
+        """Distribution of the variable register after `rotations` Grover steps."""
+        marked_mass, marginals, _ = self._split(threshold)
+        p = amplified_probability(marked_mass, rotations)
+        return (1.0 - p) * marginals[0] + p * marginals[1]
 
     def sample(self, threshold: float, rotations: int, rng: np.random.Generator) -> tuple[int, float]:
-        cumulative = self._cumulative(threshold, rotations)
-        x = int(np.searchsorted(cumulative, rng.random(), side="right"))
+        marked_mass, _, cumulative = self._split(threshold)
+        p = amplified_probability(marked_mass, rotations)
+        branch = int(marked_mass == 1.0 or rng.random() < p)
+        x = int(np.searchsorted(cumulative[branch], rng.random(), side="right"))
         return x, float(self.values[x])
 
     def sample_many(
         self, threshold: float, rotations: int, shots: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Vectorized draw of `shots` variable-register measurements."""
-        cumulative = self._cumulative(threshold, rotations)
+        cumulative = np.cumsum(self.variable_distribution(threshold, rotations))
+        cumulative /= cumulative[-1]
         return np.searchsorted(cumulative, rng.random(shots), side="right")
 
     def uniform_sample(self, rng: np.random.Generator) -> tuple[int, float]:
@@ -221,11 +231,6 @@ class ExactEngine:
         sup_vals = np.where(self.support, self.values, np.inf)
         x = int(np.argmin(sup_vals))
         return x, float(self.values[x])
-
-    def marked_fraction(self, threshold: float, rotations: int) -> float:
-        probs = self.variable_distribution(threshold, rotations)
-        marked = self.support & (self.values < threshold)
-        return float(probs[marked].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +318,6 @@ class GasTrace:
         return len(self.iterations) + 1
 
 
-def query_count(trace: GasTrace) -> int:
-    """Total oracle queries: L + 1 per iteration (Grover steps plus one preparation)."""
-    return trace.queries
-
-
 def draw_rotation_count(rng: np.random.Generator, k: float, mode: str = "inclusive") -> int:
     """Random Grover-step count for the current draw range k.
 
@@ -350,7 +350,7 @@ def run_gas(
     """
     sampler = _make_sampler(form, config, space, engine)
     rng = np.random.default_rng(config.seed)
-    sqrt_cap = math.sqrt(sampler.size if isinstance(sampler, SearchSpace) else form.space_size)
+    sqrt_cap = math.sqrt(sampler.size)
 
     bits0, value0 = sampler.uniform_sample(rng)
     trace = GasTrace(initial_bits=bits0, initial_value=value0)

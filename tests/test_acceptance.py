@@ -179,30 +179,30 @@ def test_criterion_6_backend_equivalence():
     from scipy.stats import chi2_contingency
 
     start = time.time()
-    inst = random_instance(3, seed=208)
-    form = encode_hubo_hw(inst)
-    engine = ExactEngine(form, scale=100.0)
-    space = SearchSpace(form)
     rng = np.random.default_rng(606)
     shots = 10_000
     ok = True
     pairs = []
-    for q in (0.2, 0.5, 0.8):
-        y = float(space.sorted_values[int(q * (space.size - 1))])
-        for rotations in (0, 1, 2, 5):
-            tol = space.TIE_TOL
-            exact_marks = int(
-                (engine.values[engine.sample_many(y, rotations, shots, rng)] < y - tol).sum()
-            )
-            emul_marks = sum(space.sample(y, rotations, rng)[1] < y - tol for _ in range(shots))
-            if {exact_marks, emul_marks} <= {0, shots}:
-                ok &= exact_marks == emul_marks
-                continue
-            _, p, _, _ = chi2_contingency(
-                [[exact_marks, shots - exact_marks], [emul_marks, shots - emul_marks]]
-            )
-            pairs.append(p)
-            ok &= p > 0.01
+    for n in (3, 4):
+        form = encode_hubo_hw(random_instance(n, seed=208))
+        engine = ExactEngine(form, scale=100.0)
+        space = SearchSpace(form)
+        for q in (0.2, 0.5, 0.8):
+            y = float(space.sorted_values[int(q * (space.size - 1))])
+            for rotations in (0, 1, 2, 5):
+                tol = space.TIE_TOL
+                exact_marks = int(
+                    (engine.values[engine.sample_many(y, rotations, shots, rng)] < y - tol).sum()
+                )
+                emul_marks = sum(space.sample(y, rotations, rng)[1] < y - tol for _ in range(shots))
+                if {exact_marks, emul_marks} <= {0, shots}:
+                    ok &= exact_marks == emul_marks
+                    continue
+                _, p, _, _ = chi2_contingency(
+                    [[exact_marks, shots - exact_marks], [emul_marks, shots - emul_marks]]
+                )
+                pairs.append(p)
+                ok &= p > 0.01
     elapsed = time.time() - start
     report(6, "exact vs emulated backend equivalence", ok and elapsed < 300,
            f"min p={min(pairs):.3f} over {len(pairs)} pairs, {elapsed:.0f}s")

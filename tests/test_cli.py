@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qapgas.cli import main
-from qapgas.qap import parse_qaplib
+from qapgas.qap import brute_force_optimum, parse_qaplib
 
 
 @pytest.fixture
@@ -83,6 +83,19 @@ class TestGasCommand:
         assert len(lines) == 6
         first = lines[1].split(",")
         assert int(first[2]) == int(first[1]) + 1
+
+    def test_exact_backend_reaches_optimum(self, instance_file, tmp_path):
+        out = tmp_path / "runs.csv"
+        main([
+            "gas", "--kind", "hubo-hw", "--in", str(instance_file), "--backend", "exact",
+            "--scale", "100", "--runs", "3", "--seed", "4", "--csv", str(out),
+        ])
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "run_id,queries,queries_with_init,iterations,found_value"
+        assert len(lines) == 4
+        _, best = brute_force_optimum(parse_qaplib(instance_file.read_text()))
+        for line in lines[1:]:
+            assert float(line.split(",")[4]) == pytest.approx(best, rel=1e-8)
 
     def test_stall_termination(self, instance_file, capsys):
         main([

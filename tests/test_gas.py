@@ -14,7 +14,6 @@ from qapgas.gas import (
     cdf_experiment,
     draw_rotation_count,
     marked_probability,
-    query_count,
     run_gas,
 )
 from qapgas.qap import QapInstance, brute_force_optimum, objective, random_instance
@@ -173,7 +172,7 @@ class TestRunGas:
         inst = random_instance(3, seed=14)
         form = encode(inst, "hubo-hw")
         trace = run_gas(form, GasConfig(max_iterations=50, seed=5))
-        assert query_count(trace) == sum(it.rotations + 1 for it in trace.iterations)
+        assert trace.queries == sum(it.rotations + 1 for it in trace.iterations)
         assert trace.queries_with_init == trace.queries + 1
 
     def test_config_validation(self):
@@ -215,6 +214,30 @@ class TestExactEngine:
         probs = engine.variable_distribution(100.0, 0)
         assert probs[engine.support].sum() == pytest.approx(1.0)
         assert int(engine.support.sum()) == 27
+
+    @pytest.mark.parametrize(
+        "make_form, scale",
+        [
+            (lambda: encode_hubo_hw(dyadic_instance(3, seed=26)), 4.0),
+            (lambda: encode_hubo_hw(random_instance(3, seed=26)), 1.0),
+            (lambda: encode_qubo_dicke(dyadic_instance(3, seed=26)), 4.0),
+        ],
+        ids=["hubo-hw-exact-register", "hubo-hw-leaky-oracle", "qubo-d"],
+    )
+    def test_closed_form_matches_iterated_grover_steps(self, make_form, scale):
+        engine = ExactEngine(make_form(), scale=scale)
+        values = np.sort(engine.values[engine.support])
+        for q in (0.1, 0.5, 0.9):
+            y = float(values[int(q * (values.size - 1))])
+            prepared = engine.prepared_state(y)
+            state = prepared
+            for rotations in range(13):
+                probs = np.sum(np.abs(state) ** 2, axis=0)
+                np.testing.assert_allclose(
+                    engine.variable_distribution(y, rotations), probs / probs.sum(),
+                    rtol=0, atol=1e-12,
+                )
+                state = engine.grover_step(state, prepared)
 
     def test_variable_cap(self):
         inst = random_instance(5, seed=0)
