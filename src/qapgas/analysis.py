@@ -14,6 +14,7 @@ import io
 import math
 from dataclasses import dataclass
 
+from .circuits import width_for_range
 from .encodings import build_code_table, num_code_bits, search_space_sizes
 
 QUBO_KINDS = ("qubo-h", "qubo-d")
@@ -96,10 +97,7 @@ def register_widths(
     else:
         raise ValueError(f"unknown formulation kind {kind!r}")
     bound = objective_upper_bound(n, kind, penalties)
-    m = 1
-    while bound >= 2 ** (m - 1):
-        m += 1
-    return n_vars, m
+    return n_vars, width_for_range(-bound, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -176,25 +176,35 @@ def objective_values(form: Formulation) -> np.ndarray:
 
     For the hypercube spaces the index is the variable bitmask itself; for
     the Dicke-initialized space it ranks the row-wise location assignments in
-    mixed-radix order (row 0 least significant).
+    mixed-radix order (row 0 least significant).  Dicke values are summed in
+    int64 at the coefficients' common denominator and divided once, so each
+    is float(form.poly.evaluate(bits)) exactly; ValueError if that is not exact.
     """
     if form.kind is not FormulationKind.QUBO_DICKE:
         return form.poly.evaluate_table()
-    n = form.size_n
-    values = np.empty(n**n)
-    for rank in range(n**n):
-        values[rank] = float(form.poly.evaluate(dicke_rank_to_bits(form, rank)))
-    return values
+    coeffs = {key: Fraction(c) for key, c in form.poly.terms.items()}
+    scale = math.lcm(*(c.denominator for c in coeffs.values()))
+    if max(scale, scale * sum(abs(c) for c in coeffs.values())) >= 2**53:
+        raise ValueError("coefficients' common denominator is too large for exact float64 values")
+    masks = dicke_rank_to_bits(form, np.arange(form.space_size))
+    total = np.zeros(masks.size, dtype=np.int64)
+    for key, coeff in coeffs.items():
+        term = sum(1 << v for v in key)
+        total += int(coeff * scale) * ((masks & term) == term)
+    return total / scale
 
 
-def dicke_rank_to_bits(form: Formulation, rank: int) -> int:
-    """Bitmask of the rank-th row-wise assignment (mixed radix, row 0 first)."""
+def dicke_rank_to_bits(form: Formulation, ranks) -> np.ndarray:
+    """int64 bitmasks of the rank-th row-wise assignments (scalar or array of ranks).
+
+    Row i's location is the mixed-radix digit (rank // N^i) % N; it sets bit i*N + digit.
+    """
     n = form.size_n
-    mask = 0
-    for i in range(n):
-        mask |= 1 << (i * n + rank % n)
-        rank //= n
-    return mask
+    ranks = np.asarray(ranks, dtype=np.int64)
+    masks = np.zeros_like(ranks)
+    for row in range(n):
+        masks |= np.left_shift(1, row * n + ranks // n**row % n, dtype=np.int64)
+    return masks
 
 
 def value_register_width(form: Formulation, y_max_shift: float = 0.0) -> int:
@@ -267,7 +277,6 @@ def build_state_prep(
     form: Formulation,
     width: int,
     threshold: float = 0.0,
-    init: str | None = None,
     scale: float = 1.0,
 ) -> Circuit:
     """State-preparation circuit: init layer, phase ladder, inverse QFT.
@@ -275,26 +284,21 @@ def build_state_prep(
     After this circuit, measuring the registers yields a search-space state x
     together with scale*(E(x) - threshold) rounded into an m-bit two's
     complement value (exact whenever the scaled coefficients are integers).
-    ``init`` defaults to row-wise Dicke blocks for the Dicke formulation and
+    The init layer is row-wise Dicke blocks for the Dicke formulation and
     Hadamards otherwise.
     """
     if width < 1:
         raise ValueError("value register needs at least one qubit")
     if form.poly.degree() > form.num_vars:
         raise ValueError("malformed formulation: term order exceeds variable count")
-    if init is None:
-        init = "dicke-rows" if form.kind is FormulationKind.QUBO_DICKE else "hadamard"
     n = form.num_vars
     gates: list[Gate] = []
-    if init == "hadamard":
-        gates.extend(Gate("h", (q,)) for q in range(n))
-    elif init == "dicke-rows":
-        rows = form.size_n
+    if form.kind is FormulationKind.QUBO_DICKE:
         block = form.row_width
-        for i in range(rows):
+        for i in range(form.size_n):
             gates.extend(dicke_gates(list(range(i * block, (i + 1) * block)), 1))
     else:
-        raise ValueError(f"unknown init layer {init!r}")
+        gates.extend(Gate("h", (q,)) for q in range(n))
     value_qubits = list(range(n, n + width))
     gates.extend(Gate("h", (q,)) for q in value_qubits)
     scaled = form.poly.scaled(Fraction(scale).limit_denominator(10**9))
@@ -475,17 +479,13 @@ class GateCounts:
     rotations_rz_model: int
 
 
-def count_gates(circuit: Circuit, model: str = "rz") -> GateCounts:
-    """Tally a circuit and price its term gates under the given model.
+def count_gates(circuit: Circuit) -> GateCounts:
+    """Tally a circuit and price its term gates under both cost models.
 
     Model "rz": a k-controlled phase ladder over the m value qubits costs
     2m + 2(k-1) CNOTs and m traceless rotations.  Model "r": every
     k-controlled single-qubit rotation costs 2^k CNOTs and 2^k rotations.
-    The returned counts carry both models regardless of `model`; the argument
-    only validates the name.
     """
-    if model not in ("r", "rz"):
-        raise ValueError(f"unknown cost model {model!r}")
     n, m = circuit.num_vars, circuit.num_value
     kind_totals: dict[str, int] = {}
     hist: dict[int, int] = {}

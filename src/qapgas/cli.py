@@ -17,7 +17,7 @@ from . import analysis, gas as gas_mod
 from .circuits import build_state_prep, count_gates, value_register_width
 from .encodings import FormulationKind, encode
 from .qap import brute_force_optimum, format_qaplib, parse_qaplib, random_instance
-from .sim import StateVector
+from .sim import StateVector, signed_value
 
 KIND_CHOICES = [k.value for k in FormulationKind]
 
@@ -78,7 +78,7 @@ def cmd_gates(args: argparse.Namespace) -> int:
     form = encode(inst, args.kind)
     _, m = analysis.register_widths(args.n, args.kind)
     prep = build_state_prep(form, m)
-    counts = count_gates(prep, args.model)
+    counts = count_gates(prep)
     rows = [
         ("n", args.n),
         ("kind", args.kind),
@@ -108,8 +108,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         column = probs[:, x]
         if column.sum() < 1e-12:
             continue
-        raw = int(np.argmax(column))
-        value = raw - (1 << m) if raw >= 1 << (m - 1) else raw
+        value = signed_value(int(np.argmax(column)), m)
         bits = format(x, f"0{form.num_vars}b")[::-1]
         lines.append(f"{bits},{value},{column.sum():.6g}")
     _write_or_print("\n".join(lines) + "\n", args.csv)

@@ -10,9 +10,10 @@ improvement.
 Two interchangeable backends produce the per-iteration samples:
 
 * ``emulated`` -- classical amplification model.  The search space is
-  enumerated once; a sample is marked (objective below threshold) with the
-  exact Grover probability sin^2((2L+1) * asin(sqrt(t/|S|))) and drawn
-  uniformly within its class.
+  enumerated once (the Dicke space by one vectorized pass over its N^N
+  row-wise assignments) and sorted, keeping each state's bitmask; a sample is
+  marked (objective below threshold) with the exact Grover probability
+  sin^2((2L+1) * asin(sqrt(t/|S|))) and drawn uniformly within its class.
 * ``exact``    -- the actual circuit's statevector: a vectorized preparation
   (phase ladder plus an FFT for the inverse QFT), unitarily identical to the
   gate-level construction; L Grover steps then follow in closed form (see
@@ -61,9 +62,10 @@ def marked_probability(marked: int, size: int, rotations: int) -> float:
 class SearchSpace:
     """Enumerated objective values over a formulation's search space.
 
-    Values are held sorted together with the permutation back to state
-    indices, so threshold counts are binary searches and class-uniform
-    sampling is an array lookup.
+    Values are held sorted; ``order`` holds the variable bitmask of each
+    sorted state (for the Dicke space, of each sorted support rank), so
+    threshold counts are binary searches and class-uniform sampling is an
+    array lookup.
     """
 
     def __init__(self, form: Formulation):
@@ -72,13 +74,14 @@ class SearchSpace:
             raise SpaceScaleError(
                 f"search space of {size} states exceeds the enumeration cap {EMULATION_SPACE_CAP}"
             )
-        self.form = form
         self.size = size
         values = objective_values(form)
         order = np.argsort(values, kind="stable")
         self.sorted_values = values[order]
-        self.order = order.astype(np.int64 if size > (1 << 31) else np.int32)
         del values
+        if form.kind is FormulationKind.QUBO_DICKE:
+            order = dicke_rank_to_bits(form, order)
+        self.order = order.astype(np.int64 if form.num_vars > 31 else np.int32)
 
     # States whose value ties the threshold are not improvements and must not
     # count as marked; the tolerance absorbs last-ulp spread among
@@ -88,17 +91,12 @@ class SearchSpace:
     def count_below(self, threshold: float) -> int:
         return int(np.searchsorted(self.sorted_values, threshold - self.TIE_TOL, side="left"))
 
-    def bits_of(self, state_index: int) -> int:
-        if self.form.kind is FormulationKind.QUBO_DICKE:
-            return dicke_rank_to_bits(self.form, state_index)
-        return int(state_index)
-
     def uniform_sample(self, rng: np.random.Generator) -> tuple[int, float]:
         rank = int(rng.integers(self.size))
-        return self.bits_of(int(self.order[rank])), float(self.sorted_values[rank])
+        return int(self.order[rank]), float(self.sorted_values[rank])
 
     def minimum(self) -> tuple[int, float]:
-        return self.bits_of(int(self.order[0])), float(self.sorted_values[0])
+        return int(self.order[0]), float(self.sorted_values[0])
 
     def sample(self, threshold: float, rotations: int, rng: np.random.Generator) -> tuple[int, float]:
         """One measurement of G^L applied to the prepared state."""
@@ -111,7 +109,7 @@ class SearchSpace:
                 rank = int(rng.integers(t))
             else:
                 rank = int(rng.integers(t, self.size))
-        return self.bits_of(int(self.order[rank])), float(self.sorted_values[rank])
+        return int(self.order[rank]), float(self.sorted_values[rank])
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +135,7 @@ class ExactEngine:
     integers makes the register readout, and hence the oracle, exact.
     """
 
-    def __init__(self, form: Formulation, scale: float = 1.0, width: int | None = None):
+    def __init__(self, form: Formulation, scale: float = 1.0):
         n = form.num_vars
         if n > EXACT_VARIABLE_CAP:
             raise SpaceScaleError(
@@ -147,17 +145,14 @@ class ExactEngine:
         self.size = form.space_size
         self.scale = float(scale)
         self.values = form.poly.evaluate_table()
+        self.support = np.ones(1 << n, dtype=bool)
         if form.kind is FormulationKind.QUBO_DICKE:
-            support = np.zeros(1 << n, dtype=bool)
-            for rank in range(self.size):
-                support[dicke_rank_to_bits(form, rank)] = True
-            self.support = support
-        else:
-            self.support = np.ones(1 << n, dtype=bool)
+            masks = dicke_rank_to_bits(form, np.arange(self.size))
+            self.support = np.isin(np.arange(1 << n), masks)
         sup_vals = self.values[self.support]
-        lo, hi = float(sup_vals.min()), float(sup_vals.max())
-        span = self.scale * (hi - lo)
-        self.width = width if width is not None else width_for_range(-span, span)
+        self.lo, self.hi = float(sup_vals.min()), float(sup_vals.max())
+        span = self.scale * (self.hi - self.lo)
+        self.width = width_for_range(-span, span)
         if n + self.width > 26:
             raise SpaceScaleError(
                 f"{n}+{self.width} qubits exceed the statevector cap; "
@@ -173,13 +168,23 @@ class ExactEngine:
         self._splits: dict[float, tuple[float, np.ndarray, np.ndarray]] = {}
 
     def prepared_state(self, threshold: float) -> np.ndarray:
-        """Grid (2^m, 2^n) of amplitudes after the preparation operator."""
+        """Grid (2^m, 2^n) of amplitudes after the preparation operator, built in place.
+
+        Raises ValueError if scale*(E(x) - threshold) would wrap the register.
+        """
         m = self.width
-        phases = np.exp(
-            2j * math.pi * self.scale * (self.values - threshold)[np.newaxis, :] * self._z / (1 << m)
-        )
-        grid = phases * (self._init / math.sqrt(1 << m))[np.newaxis, :]
-        return np.fft.fft(grid, axis=0) / math.sqrt(1 << m)
+        lo, hi = self.scale * (self.lo - threshold), self.scale * (self.hi - threshold)
+        if width_for_range(lo, hi) > m:
+            raise ValueError(f"threshold {threshold!r} overflows the {m}-qubit value register")
+        rows = 1 << m
+        grid = np.zeros((rows, self._init.size), dtype=np.complex128)
+        np.multiply(2 * math.pi * self.scale * (self.values - threshold), self._z, out=grid.imag)
+        grid.imag /= rows
+        np.exp(grid, out=grid)
+        grid *= self._init / math.sqrt(rows)
+        np.fft.fft(grid, axis=0, out=grid)
+        grid /= math.sqrt(rows)
+        return grid
 
     def grover_step(self, state: np.ndarray, prepared: np.ndarray) -> np.ndarray:
         flipped = self._oracle * state
@@ -268,7 +273,6 @@ class GasConfig:
     termination: Termination = IterationCap()
     backend: str = "emulated"
     seed: int | np.random.SeedSequence | None = None
-    rotation_draw: str = "inclusive"
 
     def __post_init__(self) -> None:
         if self.lambda_growth <= 1.0:
@@ -277,8 +281,6 @@ class GasConfig:
             raise ValueError("iteration cap must be positive")
         if self.backend not in ("emulated", "exact"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.rotation_draw not in ("inclusive", "exclusive"):
-            raise ValueError(f"unknown rotation draw {self.rotation_draw!r}")
 
 
 @dataclass(frozen=True)
@@ -318,17 +320,9 @@ class GasTrace:
         return len(self.iterations) + 1
 
 
-def draw_rotation_count(rng: np.random.Generator, k: float, mode: str = "inclusive") -> int:
-    """Random Grover-step count for the current draw range k.
-
-    "inclusive" draws uniformly from {0, ..., ceil(k-1)}; "exclusive" from
-    {0, ..., ceil(k)-1}.
-    """
-    if mode == "inclusive":
-        top = math.ceil(k - 1)
-    else:
-        top = math.ceil(k) - 1
-    return int(rng.integers(0, max(top, 0) + 1))
+def draw_rotation_count(rng: np.random.Generator, k: float) -> int:
+    """Random Grover-step count, uniform on {0, ..., ceil(k-1)} for draw range k."""
+    return int(rng.integers(0, max(math.ceil(k - 1), 0) + 1))
 
 
 def _make_sampler(form: Formulation, config: GasConfig, space, engine):
@@ -373,7 +367,7 @@ def run_gas(
     for _ in range(config.max_iterations):
         if terminated():
             break
-        rotations = draw_rotation_count(rng, k, config.rotation_draw)
+        rotations = draw_rotation_count(rng, k)
         bits, value = sampler.sample(threshold, rotations, rng)
         accepted = value < threshold
         if accepted:

@@ -178,11 +178,15 @@ def run_circuit(
     return sv.measure_all(rng), sv
 
 
+def signed_value(raw: int, m: int) -> int:
+    """Integer held by an m-bit two's-complement register reading `raw`."""
+    return raw - (1 << m) if raw >= 1 << (m - 1) else raw
+
+
 def readout_value(bits: int, circuit: Circuit) -> int:
     """Two's-complement value register extracted from a measured basis state."""
     m = circuit.num_value
-    raw = (bits >> circuit.num_vars) & ((1 << m) - 1)
-    return raw - (1 << m) if raw >= 1 << (m - 1) else raw
+    return signed_value((bits >> circuit.num_vars) & ((1 << m) - 1), m)
 
 
 def readout_vars(bits: int, circuit: Circuit) -> int:

@@ -19,16 +19,25 @@ from qapgas.circuits import (
     circuit_to_text,
     count_gates,
     dicke_gates,
+    dicke_rank_to_bits,
     invert_gates,
     iqft_gates,
+    objective_values,
     qft_gates,
     reduce_angle,
     substitute_rz,
     value_register_width,
 )
-from qapgas.encodings import Formulation, FormulationKind, encode, encode_hubo_hw, encode_qubo
+from qapgas.encodings import (
+    Formulation,
+    FormulationKind,
+    encode,
+    encode_hubo_hw,
+    encode_qubo,
+    encode_qubo_dicke,
+)
 from qapgas.polynomials import MultilinearPolynomial
-from qapgas.qap import QapInstance, dense_instance, random_instance
+from qapgas.qap import QapInstance, dense_instance, generic_instance, random_instance
 from qapgas.sim import StateVector, readout_value, readout_vars
 
 
@@ -410,3 +419,39 @@ class TestReadoutHelpers:
         assert readout_value(bits, circuit) == -3
         bits = 0b011_01
         assert readout_value(bits, circuit) == 3
+
+
+class TestDickeEnumeration:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("make", [random_instance, generic_instance, dense_instance])
+    def test_values_equal_exact_evaluation(self, make, n):
+        form = encode_qubo_dicke(make(n, seed=40 + n))
+        values = objective_values(form)
+        masks = dicke_rank_to_bits(form, np.arange(n**n))
+        assert values.tolist() == [float(form.poly.evaluate(int(b))) for b in masks]
+
+    def test_rank_to_bits_is_mixed_radix(self):
+        n = 4
+        form = encode_qubo_dicke(random_instance(n, seed=1))
+
+        def reference(rank):
+            return sum(1 << (i * n + (rank // n**i) % n) for i in range(n))
+
+        ranks = np.arange(n**n)
+        masks = dicke_rank_to_bits(form, ranks)
+        assert masks.dtype == np.int64
+        assert masks.tolist() == [reference(int(r)) for r in ranks]
+        assert len(set(masks.tolist())) == n**n
+        for rank in (0, 1, n, n**n - 1):
+            assert int(dicke_rank_to_bits(form, rank)) == reference(rank)
+
+    def test_off_grid_coefficients_raise(self):
+        primes = (999_983, 999_979, 999_961, 999_959, 999_953, 999_931)
+        flow = np.zeros((3, 3))
+        dist = np.zeros((3, 3))
+        for (i, j), p, q in zip(((0, 1), (0, 2), (1, 2)), primes[:3], primes[3:]):
+            flow[i, j] = flow[j, i] = 1 / p
+            dist[i, j] = dist[j, i] = 1 / q
+        form = encode_qubo_dicke(QapInstance(3, flow, dist))
+        with pytest.raises(ValueError, match="common denominator"):
+            objective_values(form)

@@ -69,7 +69,7 @@ class TestSearchSpace:
         inst = random_instance(3, seed=2)
         form = encode_qubo_dicke(inst)
         space = SearchSpace(form)
-        bits = {space.bits_of(int(space.order[r])) for r in range(space.size)}
+        bits = {int(space.order[r]) for r in range(space.size)}
         assert len(bits) == 27
         for x in bits:
             for row in range(3):
@@ -96,6 +96,16 @@ class TestSearchSpace:
         sigma = math.sqrt(p * (1 - p) / shots)
         assert abs(hits / shots - p) < 4 * sigma
 
+    def test_dicke_space_at_n7_finds_the_optimum(self):
+        inst = random_instance(7, seed=3)
+        form = encode_qubo_dicke(inst)
+        space = SearchSpace(form)
+        assert space.order.dtype == np.int64  # 49 variables
+        perm, value = brute_force_optimum(inst)
+        bits, found = space.minimum()
+        assert found == pytest.approx(value, abs=1e-9)
+        assert form.decode(bits) == perm
+
     def test_oversized_space_rejected(self):
         inst = random_instance(6, seed=0)
         with pytest.raises(SpaceScaleError):
@@ -105,19 +115,12 @@ class TestSearchSpace:
 class TestRotationDraw:
     def test_inclusive_range(self):
         rng = np.random.default_rng(0)
-        draws = {draw_rotation_count(rng, 8 / 7, "inclusive") for _ in range(200)}
+        draws = {draw_rotation_count(rng, 8 / 7) for _ in range(200)}
         assert draws == {0, 1}
-
-    def test_exclusive_range(self):
-        rng = np.random.default_rng(0)
-        draws = {draw_rotation_count(rng, 8 / 7, "exclusive") for _ in range(200)}
-        assert draws == {0, 1}
-        draws1 = {draw_rotation_count(rng, 1.0, "exclusive") for _ in range(100)}
-        assert draws1 == {0}
 
     def test_k_one_always_zero(self):
         rng = np.random.default_rng(0)
-        assert {draw_rotation_count(rng, 1.0, "inclusive") for _ in range(50)} == {0}
+        assert {draw_rotation_count(rng, 1.0) for _ in range(50)} == {0}
 
 
 class TestRunGas:
@@ -180,8 +183,6 @@ class TestRunGas:
             GasConfig(lambda_growth=1.0)
         with pytest.raises(ValueError):
             GasConfig(backend="quantum")
-        with pytest.raises(ValueError):
-            GasConfig(rotation_draw="sometimes")
 
 
 class TestExactEngine:
@@ -211,9 +212,26 @@ class TestExactEngine:
         inst = dyadic_instance(3, seed=23)
         form = encode_qubo_dicke(inst)
         engine = ExactEngine(form, scale=4.0)
-        probs = engine.variable_distribution(100.0, 0)
+        y = float(np.median(engine.values[engine.support]))
+        probs = engine.variable_distribution(y, 0)
         assert probs[engine.support].sum() == pytest.approx(1.0)
         assert int(engine.support.sum()) == 27
+
+    def test_threshold_outside_register_raises(self):
+        """scale*(E - y) must fit the register; a wrapped readout would mark wrongly."""
+        form = encode_qubo_dicke(dyadic_instance(3, seed=23))
+        engine = ExactEngine(form, scale=4.0)
+        for y in (100.0, engine.lo - 1e6):
+            with pytest.raises(ValueError):
+                engine.variable_distribution(y, 0)
+            with pytest.raises(ValueError):
+                engine.sample(y, 1, np.random.default_rng(0))
+        # Thresholds at both ends of the support fit: nothing, or all but the top, is marked.
+        probs = engine.variable_distribution(engine.lo, 0)
+        assert probs[engine.support].sum() == pytest.approx(1.0)
+        assert engine._split(engine.lo)[0] == pytest.approx(0.0, abs=1e-12)
+        top = engine.values[engine.support] >= engine.hi
+        assert engine._split(engine.hi)[0] == pytest.approx(1.0 - top.sum() / 27, abs=1e-12)
 
     @pytest.mark.parametrize(
         "make_form, scale",
