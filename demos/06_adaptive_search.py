@@ -38,7 +38,7 @@ for rotations in (0, 1, 2):
     from qapgas.gas import marked_probability
 
     model = marked_probability(t, space.size, rotations)
-    hits = (engine.values[engine.sample_many(y, rotations, 4000, rng)] < y - space.TIE_TOL).mean()
+    hits = (engine.values[engine.sample_many(y, rotations, 4000, rng)] < y).mean()
     print(f"  threshold {y:.2f}, L={rotations}: circuit frequency {hits:.3f}, model {model:.3f}")
 
 exact_trace = run_gas(

@@ -166,32 +166,43 @@ def value_bounds(form: Formulation, exhaustive_limit: int = 1 << 20) -> tuple[fl
     """
     if form.space_size <= exhaustive_limit:
         values = objective_values(form)
-        return float(values.min()), float(values.max())
+        den = objective_denominator(form)
+        return float(values.min() / den), float(values.max() / den)
     total = form.poly.abs_coeff_sum()
     return -total, total
 
 
+def objective_denominator(form: Formulation) -> int:
+    """Common denominator of the objective: the LCM of its coefficients' denominators.
+
+    Every objective value is an integer multiple of 1/denominator.  Raises
+    ValueError when denominator * sum|c| reaches 2^53, where those integers,
+    and the floats divided from them, would no longer be exact.
+    """
+    coeffs = [Fraction(c) for c in form.poly.terms.values()]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    if max(den, den * sum(abs(c) for c in coeffs)) >= 2**53:
+        raise ValueError("coefficients' common denominator is too large for exact float64 values")
+    return den
+
+
 def objective_values(form: Formulation) -> np.ndarray:
-    """Objective on every state of the search space, indexed by support rank.
+    """int64 numerators of the objective on every state, over objective_denominator(form).
 
     For the hypercube spaces the index is the variable bitmask itself; for
     the Dicke-initialized space it ranks the row-wise location assignments in
-    mixed-radix order (row 0 least significant).  Dicke values are summed in
-    int64 at the coefficients' common denominator and divided once, so each
-    is float(form.poly.evaluate(bits)) exactly; ValueError if that is not exact.
+    mixed-radix order (row 0 least significant).  The sums are exact, so
+    values / den is float(form.poly.evaluate(bits)) bit for bit.
     """
+    den = objective_denominator(form)
     if form.kind is not FormulationKind.QUBO_DICKE:
-        return form.poly.evaluate_table()
-    coeffs = {key: Fraction(c) for key, c in form.poly.terms.items()}
-    scale = math.lcm(*(c.denominator for c in coeffs.values()))
-    if max(scale, scale * sum(abs(c) for c in coeffs.values())) >= 2**53:
-        raise ValueError("coefficients' common denominator is too large for exact float64 values")
+        return form.poly.scaled(den).evaluate_table(np.int64)
     masks = dicke_rank_to_bits(form, np.arange(form.space_size))
     total = np.zeros(masks.size, dtype=np.int64)
-    for key, coeff in coeffs.items():
+    for key, coeff in form.poly.terms.items():
         term = sum(1 << v for v in key)
-        total += int(coeff * scale) * ((masks & term) == term)
-    return total / scale
+        total += int(Fraction(coeff) * den) * ((masks & term) == term)
+    return total
 
 
 def dicke_rank_to_bits(form: Formulation, ranks) -> np.ndarray:

@@ -10,9 +10,11 @@ improvement.
 Two interchangeable backends produce the per-iteration samples:
 
 * ``emulated`` -- classical amplification model.  The search space is
-  enumerated once (the Dicke space by one vectorized pass over its N^N
-  row-wise assignments) and sorted, keeping each state's bitmask; a sample is
-  marked (objective below threshold) with the exact Grover probability
+  enumerated once as exact integer values at the objective's common
+  denominator (the Dicke space by one vectorized pass over its N^N row-wise
+  assignments) and indexed by one sort of packed (value, state) keys, keeping
+  each state's bitmask; a sample is marked (objective strictly below the
+  threshold) with the exact Grover probability
   sin^2((2L+1) * asin(sqrt(t/|S|))) and drawn uniformly within its class.
 * ``exact``    -- the actual circuit's statevector: a vectorized preparation
   (phase ladder plus an FFT for the inverse QFT), unitarily identical to the
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import dicke_rank_to_bits, objective_values, width_for_range
+from .circuits import dicke_rank_to_bits, objective_denominator, objective_values, width_for_range
 from .encodings import Formulation, FormulationKind
 
 EMULATION_SPACE_CAP = 1 << 26
@@ -65,7 +67,10 @@ class SearchSpace:
     Values are held sorted; ``order`` holds the variable bitmask of each
     sorted state (for the Dicke space, of each sorted support rank), so
     threshold counts are binary searches and class-uniform sampling is an
-    array lookup.
+    array lookup.  The index is one in-place sort of uint64 keys packing each
+    state's exact integer value (at objective_denominator) above its state
+    index: equal values are bit-equal floats, ties keep state-index order,
+    and the order is the same on every host.
     """
 
     def __init__(self, form: Formulation):
@@ -75,21 +80,31 @@ class SearchSpace:
                 f"search space of {size} states exceeds the enumeration cap {EMULATION_SPACE_CAP}"
             )
         self.size = size
-        values = objective_values(form)
-        order = np.argsort(values, kind="stable")
-        self.sorted_values = values[order]
-        del values
+        key = objective_values(form)
+        den = objective_denominator(form)
+        lo = int(key.min())
+        span = int(key.max()) - lo
+        shift = (size - 1).bit_length()
+        if span.bit_length() + shift > 64:
+            raise SpaceScaleError(f"value span {span} and {shift} state bits overflow a 64-bit key")
+        key -= lo
+        key = key.view(np.uint64)
+        key <<= shift
+        key |= np.arange(size, dtype=np.uint64)
+        key.sort()
+        order = np.empty(size, dtype=np.int64 if form.num_vars > 31 else np.int32)
+        np.bitwise_and(key, (1 << shift) - 1, out=order, casting="unsafe")
         if form.kind is FormulationKind.QUBO_DICKE:
-            order = dicke_rank_to_bits(form, order)
-        self.order = order.astype(np.int64 if form.num_vars > 31 else np.int32)
-
-    # States whose value ties the threshold are not improvements and must not
-    # count as marked; the tolerance absorbs last-ulp spread among
-    # mathematically equal objective values so both backends agree on ties.
-    TIE_TOL = 1e-9
+            order = dicke_rank_to_bits(form, order).astype(order.dtype)
+        self.order = order
+        key >>= shift
+        levels = key.view(np.int64)
+        levels += lo
+        self.sorted_values = np.divide(levels, den, out=levels.view(np.float64))
 
     def count_below(self, threshold: float) -> int:
-        return int(np.searchsorted(self.sorted_values, threshold - self.TIE_TOL, side="left"))
+        """Number of states whose value is strictly below `threshold`."""
+        return int(np.searchsorted(self.sorted_values, threshold, side="left"))
 
     def uniform_sample(self, rng: np.random.Generator) -> tuple[int, float]:
         rank = int(rng.integers(self.size))
@@ -144,7 +159,8 @@ class ExactEngine:
         self.form = form
         self.size = form.space_size
         self.scale = float(scale)
-        self.values = form.poly.evaluate_table()
+        den = objective_denominator(form)
+        self.values = form.poly.scaled(den).evaluate_table(np.int64) / den
         self.support = np.ones(1 << n, dtype=bool)
         if form.kind is FormulationKind.QUBO_DICKE:
             masks = dicke_rank_to_bits(form, np.arange(self.size))

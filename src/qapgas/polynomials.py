@@ -8,7 +8,8 @@ polynomial is in multilinear normal form.
 
 Coefficients may be int, float, or Fraction.  The encoders use Fraction so
 that term counting is immune to floating-point dust; numeric consumers call
-float_terms()/evaluate_table() which convert once.
+float_terms()/evaluate_table() which convert once, or evaluate_table(np.int64)
+on a polynomial scaled to integer coefficients for exact values.
 """
 from __future__ import annotations
 
@@ -183,13 +184,17 @@ class MultilinearPolynomial:
         Computed with an in-place subset-sum (zeta) transform: seed each
         monomial's coefficient at its own mask, then accumulate along every
         variable axis.  O(n * 2^n) numpy work instead of O(terms * 2^n).
+        An integer dtype gives exact sums and refuses non-integer coefficients.
         """
         n = self.num_vars
         if n > 26:
             raise ValueError(f"evaluate_table supports at most 26 variables, got {n}")
         table = np.zeros(1 << n, dtype=dtype)
+        exact = np.issubdtype(table.dtype, np.integer)
         for key, coeff in self.terms.items():
-            table[sum(1 << v for v in key)] += float(coeff)
+            if exact and Fraction(coeff).denominator != 1:
+                raise ValueError(f"non-integer coefficient {coeff!r} in an integer table")
+            table[sum(1 << v for v in key)] += int(coeff) if exact else float(coeff)
         view = table.reshape([2] * n) if n else table
         for axis in range(n):
             sel_hi: list = [slice(None)] * n

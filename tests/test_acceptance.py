@@ -190,11 +190,10 @@ def test_criterion_6_backend_equivalence():
         for q in (0.2, 0.5, 0.8):
             y = float(space.sorted_values[int(q * (space.size - 1))])
             for rotations in (0, 1, 2, 5):
-                tol = space.TIE_TOL
                 exact_marks = int(
-                    (engine.values[engine.sample_many(y, rotations, shots, rng)] < y - tol).sum()
+                    (engine.values[engine.sample_many(y, rotations, shots, rng)] < y).sum()
                 )
-                emul_marks = sum(space.sample(y, rotations, rng)[1] < y - tol for _ in range(shots))
+                emul_marks = sum(space.sample(y, rotations, rng)[1] < y for _ in range(shots))
                 if {exact_marks, emul_marks} <= {0, shots}:
                     ok &= exact_marks == emul_marks
                     continue

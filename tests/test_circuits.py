@@ -22,10 +22,12 @@ from qapgas.circuits import (
     dicke_rank_to_bits,
     invert_gates,
     iqft_gates,
+    objective_denominator,
     objective_values,
     qft_gates,
     reduce_angle,
     substitute_rz,
+    value_bounds,
     value_register_width,
 )
 from qapgas.encodings import (
@@ -36,6 +38,7 @@ from qapgas.encodings import (
     encode_qubo,
     encode_qubo_dicke,
 )
+from qapgas.gas import ExactEngine, SearchSpace
 from qapgas.polynomials import MultilinearPolynomial
 from qapgas.qap import QapInstance, dense_instance, generic_instance, random_instance
 from qapgas.sim import StateVector, readout_value, readout_vars
@@ -426,7 +429,7 @@ class TestDickeEnumeration:
     @pytest.mark.parametrize("make", [random_instance, generic_instance, dense_instance])
     def test_values_equal_exact_evaluation(self, make, n):
         form = encode_qubo_dicke(make(n, seed=40 + n))
-        values = objective_values(form)
+        values = objective_values(form) / objective_denominator(form)
         masks = dicke_rank_to_bits(form, np.arange(n**n))
         assert values.tolist() == [float(form.poly.evaluate(int(b))) for b in masks]
 
@@ -446,12 +449,35 @@ class TestDickeEnumeration:
             assert int(dicke_rank_to_bits(form, rank)) == reference(rank)
 
     def test_off_grid_coefficients_raise(self):
-        primes = (999_983, 999_979, 999_961, 999_959, 999_953, 999_931)
-        flow = np.zeros((3, 3))
-        dist = np.zeros((3, 3))
-        for (i, j), p, q in zip(((0, 1), (0, 2), (1, 2)), primes[:3], primes[3:]):
-            flow[i, j] = flow[j, i] = 1 / p
-            dist[i, j] = dist[j, i] = 1 / q
-        form = encode_qubo_dicke(QapInstance(3, flow, dist))
+        form = encode_qubo_dicke(off_grid_instance())
         with pytest.raises(ValueError, match="common denominator"):
             objective_values(form)
+
+    @pytest.mark.parametrize("kind", ["qubo-h", "hubo-hw"])
+    def test_off_grid_hypercube_coefficients_raise(self, kind):
+        form = encode(off_grid_instance(), kind)
+        for compute in (objective_values, value_bounds, SearchSpace, ExactEngine):
+            with pytest.raises(ValueError, match="common denominator"):
+                compute(form)
+
+    @pytest.mark.parametrize("make", [random_instance, generic_instance, dense_instance])
+    def test_hypercube_numerators_are_exact(self, make):
+        for kind in ("qubo-h", "hubo-hw"):
+            form = encode(make(3, seed=43), kind)
+            den = objective_denominator(form)
+            values = objective_values(form)
+            assert values.dtype == np.int64
+            assert values.tolist() == [
+                form.poly.evaluate(mask) * den for mask in range(form.space_size)
+            ]
+
+
+def off_grid_instance() -> QapInstance:
+    """Entries 1/p for six large primes: a common denominator far beyond 2^53."""
+    primes = (999_983, 999_979, 999_961, 999_959, 999_953, 999_931)
+    flow = np.zeros((3, 3))
+    dist = np.zeros((3, 3))
+    for (i, j), p, q in zip(((0, 1), (0, 2), (1, 2)), primes[:3], primes[3:]):
+        flow[i, j] = flow[j, i] = 1 / p
+        dist[i, j] = dist[j, i] = 1 / q
+    return QapInstance(3, flow, dist)

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qapgas.encodings import FormulationKind, encode, encode_hubo_hw, encode_qubo_dicke
+from qapgas.circuits import dicke_rank_to_bits, objective_denominator, objective_values
+from qapgas.encodings import (
+    Formulation,
+    FormulationKind,
+    encode,
+    encode_hubo_hw,
+    encode_qubo_dicke,
+)
 from qapgas.gas import (
     ExactEngine,
     GasConfig,
@@ -16,6 +23,7 @@ from qapgas.gas import (
     marked_probability,
     run_gas,
 )
+from qapgas.polynomials import MultilinearPolynomial
 from qapgas.qap import QapInstance, brute_force_optimum, objective, random_instance
 from qapgas.samples import sample_instance
 
@@ -63,7 +71,7 @@ class TestSearchSpace:
         space = SearchSpace(encode(inst, "hubo-hw"))
         table = encode(inst, "hubo-hw").poly.evaluate_table()
         for y in (0.0, 1.0, 5.0, 100.0):
-            assert space.count_below(y) == int((table < y - space.TIE_TOL).sum())
+            assert space.count_below(y) == int((table < y).sum())
 
     def test_dicke_space_enumerates_assignments(self):
         inst = random_instance(3, seed=2)
@@ -110,6 +118,50 @@ class TestSearchSpace:
         inst = random_instance(6, seed=0)
         with pytest.raises(SpaceScaleError):
             SearchSpace(encode(inst, "qubo-h"))  # 2^36
+
+    @pytest.mark.parametrize("kind", ["qubo-h", "qubo-d", "hubo-hw"])
+    def test_sorted_values_equal_exact_evaluation(self, kind):
+        form = encode(random_instance(3, seed=5), kind)
+        space = SearchSpace(form)
+        for r in range(space.size):
+            assert space.sorted_values[r] == float(form.poly.evaluate(int(space.order[r])))
+
+    @pytest.mark.parametrize("kind", ["qubo-h", "qubo-d", "hubo-hw"])
+    def test_packed_order_is_stable_sort_of_numerators(self, kind):
+        form = encode(random_instance(4, seed=1), kind)
+        space = SearchSpace(form)
+        numerators = objective_values(form)
+        ranks = np.argsort(numerators, kind="stable")
+        if kind == "qubo-d":
+            ranks = dicke_rank_to_bits(form, ranks)
+        np.testing.assert_array_equal(space.order, ranks)
+        assert space.sorted_values.tolist() == sorted(numerators / objective_denominator(form))
+
+    def test_value_span_overflowing_the_key_rejected(self):
+        # 12 state bits plus a span of 2^52 need 65 key bits.
+        poly = MultilinearPolynomial(12, {(0,): 2**51, (1,): -(2**51)})
+        inst = QapInstance(2, np.zeros((2, 2)), np.zeros((2, 2)))
+        form = Formulation(FormulationKind.QUBO_HADAMARD, poly, 12, 2, (1.0, 1.0), inst)
+        with pytest.raises(SpaceScaleError, match="64-bit key"):
+            SearchSpace(form)
+
+    def test_accepted_improvements_are_whole_levels(self):
+        """Every accepted sample lowers the threshold by at least 1/den, never by float dust."""
+        inst = random_instance(4, seed=1)
+        form = encode_hubo_hw(inst)
+        den = objective_denominator(form)
+        space = SearchSpace(form)
+        _, best = brute_force_optimum(inst)
+        dust = 0
+        for child in np.random.SeedSequence(7).spawn(300):
+            trace = run_gas(form, GasConfig(termination=KnownOptimum(best), seed=child), space=space)
+            assert trace.found_optimum is True
+            before = trace.initial_value
+            for it in trace.iterations:
+                if it.accepted:
+                    dust += round(before * den) - round(it.value * den) < 1
+                    before = it.value
+        assert dust == 0
 
 
 class TestRotationDraw:
@@ -257,6 +309,13 @@ class TestExactEngine:
                 )
                 state = engine.grover_step(state, prepared)
 
+    @pytest.mark.parametrize("kind", ["qubo-h", "qubo-d", "hubo-hw"])
+    def test_values_equal_search_space_values(self, kind):
+        form = encode(random_instance(3, seed=5), kind)
+        space = SearchSpace(form)
+        engine = ExactEngine(form)
+        assert engine.values[space.order].tolist() == space.sorted_values.tolist()
+
     def test_variable_cap(self):
         inst = random_instance(5, seed=0)
         with pytest.raises(SpaceScaleError):
@@ -277,13 +336,8 @@ class TestExactEngine:
         for q in quantiles:
             y = float(np.quantile(space.sorted_values, q))
             for rotations in (0, 1, 2):
-                tol = space.TIE_TOL
-                exact_hits = sum(
-                    engine.sample(y, rotations, rng)[1] < y - tol for _ in range(shots)
-                )
-                emul_hits = sum(
-                    space.sample(y, rotations, rng)[1] < y - tol for _ in range(shots)
-                )
+                exact_hits = sum(engine.sample(y, rotations, rng)[1] < y for _ in range(shots))
+                emul_hits = sum(space.sample(y, rotations, rng)[1] < y for _ in range(shots))
                 if exact_hits in (0, shots) and emul_hits in (0, shots):
                     assert exact_hits == emul_hits
                     continue

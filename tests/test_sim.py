@@ -156,7 +156,7 @@ class TestGroverStepDistribution:
         for _ in range(rotations):
             sv.apply_all(grover.gates)
         table = form.poly.evaluate_table()
-        marked_states = np.flatnonzero(table < threshold - space.TIE_TOL)
+        marked_states = np.flatnonzero(table < threshold)
         var_probs = sv.marginal(range(form.num_vars))
         p_model = marked_probability(t, space.size, rotations)
 
