@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,9 @@ from .encodings import Formulation, FormulationKind
 EMULATION_SPACE_CAP = 1 << 26
 EXACT_VARIABLE_CAP = 20
 GROWTH_FACTOR = 8.0 / 7.0
+# Iterations served by one rng.random call of a run; the stream is read in
+# order, so trajectories do not depend on this length.
+UNIFORM_BLOCK = 64
 
 
 class SpaceScaleError(ValueError):
@@ -101,10 +105,25 @@ class SearchSpace:
         levels = key.view(np.int64)
         levels += lo
         self.sorted_values = np.divide(levels, den, out=levels.view(np.float64))
+        self._last_count = (math.nan, 0)
 
     def count_below(self, threshold: float) -> int:
         """Number of states whose value is strictly below `threshold`."""
         return int(np.searchsorted(self.sorted_values, threshold, side="left"))
+
+    def _marked(self, threshold: float, rotations: int) -> tuple[int, float]:
+        """Marked count t and the probability of the marked class (exactly 1 when t = size).
+
+        The count of the last threshold seen is cached: a GAS run keeps its
+        threshold until a sample improves on it.
+        """
+        last, t = self._last_count
+        if threshold != last:
+            t = self.count_below(threshold)
+            self._last_count = (threshold, t)
+        if t == self.size:
+            return t, 1.0
+        return t, marked_probability(t, self.size, rotations)
 
     def uniform_sample(self, rng: np.random.Generator) -> tuple[int, float]:
         rank = int(rng.integers(self.size))
@@ -115,15 +134,22 @@ class SearchSpace:
 
     def sample(self, threshold: float, rotations: int, rng: np.random.Generator) -> tuple[int, float]:
         """One measurement of G^L applied to the prepared state."""
-        t = self.count_below(threshold)
+        t, p = self._marked(threshold, rotations)
         if t == 0:
             rank = int(rng.integers(self.size))
+        elif t == self.size or rng.random() < p:
+            rank = int(rng.integers(t))
         else:
-            p = marked_probability(t, self.size, rotations)
-            if t == self.size or rng.random() < p:
-                rank = int(rng.integers(t))
-            else:
-                rank = int(rng.integers(t, self.size))
+            rank = int(rng.integers(t, self.size))
+        return int(self.order[rank]), float(self.sorted_values[rank])
+
+    def draw(self, threshold: float, rotations: int, u_branch: float, u_rank: float) -> tuple[int, float]:
+        """`sample` driven by two uniforms on [0, 1): the class, then the rank within it."""
+        t, p = self._marked(threshold, rotations)
+        if u_branch < p:
+            rank = int(u_rank * t)
+        else:
+            rank = t + int(u_rank * (self.size - t))
         return int(self.order[rank]), float(self.sorted_values[rank])
 
 
@@ -174,6 +200,7 @@ class ExactEngine:
                 f"{n}+{self.width} qubits exceed the statevector cap; "
                 "use the emulated backend"
             )
+        self._support_states = np.flatnonzero(self.support)
         amp = 1.0 / math.sqrt(self.size)
         self._init = np.where(self.support, amp, 0.0).astype(np.complex128)
         half = 1 << (self.width - 1)
@@ -228,11 +255,23 @@ class ExactEngine:
         p = amplified_probability(marked_mass, rotations)
         return (1.0 - p) * marginals[0] + p * marginals[1]
 
-    def sample(self, threshold: float, rotations: int, rng: np.random.Generator) -> tuple[int, float]:
+    def _marked(self, threshold: float, rotations: int) -> tuple[bool, float, np.ndarray]:
+        """Whether all mass is marked, the marked probability (then exactly 1), and the cumsums."""
         marked_mass, _, cumulative = self._split(threshold)
-        p = amplified_probability(marked_mass, rotations)
-        branch = int(marked_mass == 1.0 or rng.random() < p)
+        if marked_mass == 1.0:
+            return True, 1.0, cumulative
+        return False, amplified_probability(marked_mass, rotations), cumulative
+
+    def sample(self, threshold: float, rotations: int, rng: np.random.Generator) -> tuple[int, float]:
+        certain, p, cumulative = self._marked(threshold, rotations)
+        branch = int(certain or rng.random() < p)
         x = int(np.searchsorted(cumulative[branch], rng.random(), side="right"))
+        return x, float(self.values[x])
+
+    def draw(self, threshold: float, rotations: int, u_branch: float, u_rank: float) -> tuple[int, float]:
+        """`sample` driven by two uniforms on [0, 1): the branch, then x by inverse CDF."""
+        _, p, cumulative = self._marked(threshold, rotations)
+        x = int(np.searchsorted(cumulative[int(u_branch < p)], u_rank, side="right"))
         return x, float(self.values[x])
 
     def sample_many(
@@ -244,8 +283,8 @@ class ExactEngine:
         return np.searchsorted(cumulative, rng.random(shots), side="right")
 
     def uniform_sample(self, rng: np.random.Generator) -> tuple[int, float]:
-        candidates = np.flatnonzero(self.support)
-        x = int(candidates[rng.integers(len(candidates))])
+        states = self._support_states
+        x = int(states[rng.integers(len(states))])
         return x, float(self.values[x])
 
     def minimum(self) -> tuple[int, float]:
@@ -299,8 +338,7 @@ class GasConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
 
 
-@dataclass(frozen=True)
-class GasIteration:
+class GasIteration(NamedTuple):
     rotations: int
     bits: int
     value: float
@@ -336,9 +374,16 @@ class GasTrace:
         return len(self.iterations) + 1
 
 
-def draw_rotation_count(rng: np.random.Generator, k: float) -> int:
-    """Random Grover-step count, uniform on {0, ..., ceil(k-1)} for draw range k."""
-    return int(rng.integers(0, max(math.ceil(k - 1), 0) + 1))
+def draw_rotation_count(u: float, k: float) -> int:
+    """Grover-step count, uniform on {0, ..., ceil(k-1)} for draw range k, from `u` uniform on [0, 1)."""
+    return int(u * (max(math.ceil(k - 1), 0) + 1))
+
+
+def _uniform_triples(rng: np.random.Generator):
+    """The (rotation, branch, rank) uniforms of successive iterations, read in blocks."""
+    while True:
+        block = iter(rng.random(3 * UNIFORM_BLOCK).tolist())
+        yield from zip(block, block, block)
 
 
 def _make_sampler(form: Formulation, config: GasConfig, space, engine):
@@ -355,53 +400,49 @@ def run_gas(
 ) -> GasTrace:
     """Run the adaptive search until the configured termination triggers.
 
-    Pass a prebuilt SearchSpace or ExactEngine to amortize enumeration across
-    many runs of the same formulation.
+    The run's generator, seeded from ``config.seed``, gives one
+    ``uniform_sample`` draw and then three uniforms per iteration: the
+    rotation count, the branch and the rank within it.  Pass a prebuilt
+    SearchSpace or ExactEngine to amortize enumeration across many runs of
+    the same formulation.
     """
     sampler = _make_sampler(form, config, space, engine)
     rng = np.random.default_rng(config.seed)
     sqrt_cap = math.sqrt(sampler.size)
+    term = config.termination
+    target = term.value + term.tol if isinstance(term, KnownOptimum) else -math.inf
+    limit = term.limit if isinstance(term, ThresholdStall) else math.inf
 
     bits0, value0 = sampler.uniform_sample(rng)
     trace = GasTrace(initial_bits=bits0, initial_value=value0)
-    trace.best_bits, trace.best_value = bits0, value0
-    threshold = value0
+    best_bits, threshold = bits0, value0
     k = 1.0
     stall = 0
+    draw, record = sampler.draw, trace.iterations.append
 
-    def terminated() -> bool:
-        term = config.termination
-        if isinstance(term, KnownOptimum) and threshold <= term.value + term.tol:
-            trace.found_optimum = True
-            trace.stop_reason = "optimum"
-            return True
-        if isinstance(term, ThresholdStall) and stall >= term.limit:
-            trace.stop_reason = "stall"
-            return True
-        return False
-
-    for _ in range(config.max_iterations):
-        if terminated():
+    uniforms = zip(range(config.max_iterations), _uniform_triples(rng))
+    for _, (u_rotation, u_branch, u_rank) in uniforms:
+        if threshold <= target or stall >= limit:
             break
-        rotations = draw_rotation_count(rng, k)
-        bits, value = sampler.sample(threshold, rotations, rng)
+        rotations = draw_rotation_count(u_rotation, k)
+        bits, value = draw(threshold, rotations, u_branch, u_rank)
         accepted = value < threshold
         if accepted:
-            threshold = value
-            trace.best_bits, trace.best_value = bits, value
+            best_bits, threshold = bits, value
             k = 1.0
             stall = 0
         else:
             k = min(config.lambda_growth * k, sqrt_cap)
             stall += 1
-        trace.iterations.append(
-            GasIteration(rotations, bits, value, accepted, threshold, k)
-        )
-    else:
-        if terminated():
-            pass
-        elif isinstance(config.termination, KnownOptimum):
-            trace.found_optimum = False
+        record(GasIteration(rotations, bits, value, accepted, threshold, k))
+
+    trace.best_bits, trace.best_value = best_bits, threshold
+    if isinstance(term, KnownOptimum):
+        trace.found_optimum = threshold <= target
+    if threshold <= target:
+        trace.stop_reason = "optimum"
+    elif stall >= limit:
+        trace.stop_reason = "stall"
     return trace
 
 

@@ -10,8 +10,11 @@ from qapgas.encodings import (
     encode,
     encode_hubo_hw,
     encode_qubo_dicke,
+    search_space_sizes,
 )
 from qapgas.gas import (
+    EMULATION_SPACE_CAP,
+    UNIFORM_BLOCK,
     ExactEngine,
     GasConfig,
     KnownOptimum,
@@ -164,15 +167,58 @@ class TestSearchSpace:
         assert dust == 0
 
 
+TOP_UNIFORM = float(np.nextafter(1.0, 0.0))  # the largest value rng.random() can return
+
+
 class TestRotationDraw:
     def test_inclusive_range(self):
         rng = np.random.default_rng(0)
-        draws = {draw_rotation_count(rng, 8 / 7) for _ in range(200)}
+        draws = {draw_rotation_count(u, 8 / 7) for u in rng.random(200)}
         assert draws == {0, 1}
 
     def test_k_one_always_zero(self):
         rng = np.random.default_rng(0)
-        assert {draw_rotation_count(rng, 1.0) for _ in range(50)} == {0}
+        assert {draw_rotation_count(u, 1.0) for u in rng.random(50)} == {0}
+
+
+class TestUniformDraws:
+    def test_largest_uniform_stays_below_every_size(self):
+        """int(u * m) for u < 1 reaches m - 1 and never m, for every size a draw scales by."""
+        sizes = {m for e in range(27) for m in (2**e - 1, 2**e, 2**e + 1) if m > 0}
+        sizes |= {
+            m for n in range(2, 8) for m in search_space_sizes(n) if m <= EMULATION_SPACE_CAP
+        }
+        for m in sorted(sizes):
+            assert int(TOP_UNIFORM * m) == m - 1 < m
+        for k in (1.0, 8 / 7, 2.5, math.sqrt(2**16)):
+            assert draw_rotation_count(TOP_UNIFORM, k) == math.ceil(k - 1)
+            assert draw_rotation_count(0.0, k) == 0
+
+    def test_extreme_uniforms_pick_the_ends_of_each_class(self):
+        space = SearchSpace(encode(random_instance(3, seed=6), "hubo-hw"))
+        values = space.sorted_values
+        # Thresholds out of order, so the cached count must follow each change;
+        # the last two mark nothing and everything.
+        for y in (float(values[40]), float(values[3]), float(values[40]), values[0], values[-1] + 1):
+            t = space.count_below(y)
+            for rotations in (0, 2):
+                marked_top = space.draw(y, rotations, 0.0, TOP_UNIFORM)
+                unmarked_first = space.draw(y, rotations, TOP_UNIFORM, 0.0)
+                unmarked_top = space.draw(y, rotations, TOP_UNIFORM, TOP_UNIFORM)
+                if 0 < t < space.size:
+                    assert marked_top[1] == values[t - 1] < y
+                    assert unmarked_first[1] == values[t] >= y
+                assert unmarked_top[1] == values[-1]
+                assert space.draw(y, rotations, 0.0, 0.0)[1] == values[0]
+
+    def test_exact_draws_land_on_the_support(self):
+        engine = ExactEngine(encode_qubo_dicke(dyadic_instance(3, seed=23)), scale=4.0)
+        y = float(np.median(engine.values[engine.support]))
+        for u_branch in (0.0, 0.5, TOP_UNIFORM):
+            for u_rank in (0.0, 0.5, TOP_UNIFORM):
+                x, value = engine.draw(y, 1, u_branch, u_rank)
+                assert engine.support[x]
+                assert value == engine.values[x]
 
 
 class TestRunGas:
@@ -393,6 +439,25 @@ class TestCdfExperiment:
                 assert res.median("qubo-d") <= 1.25 * res.median("hubo-hw")
                 assert res.median("hubo-hw") < res.median("qubo-h")
                 assert res.median("qubo-d") < res.median("qubo-h")
+
+    def test_counts_equal_per_child_runs(self):
+        """cdf_experiment's counts are those of run_gas on each child seed, for every kind."""
+        inst = random_instance(4, seed=1)
+        _, best = brute_force_optimum(inst)
+        forms = {k.value: encode(inst, k) for k in FormulationKind}
+        runs, seed = 20, 5
+        res = cdf_experiment(forms, best, runs=runs, seed=seed)
+        root = np.random.SeedSequence(seed)
+        longest = 0
+        for kind, form in sorted(forms.items()):
+            space = SearchSpace(form)
+            traces = [
+                run_gas(form, GasConfig(termination=KnownOptimum(best), seed=child), space=space)
+                for child in root.spawn(runs)
+            ]
+            np.testing.assert_array_equal(res.queries[kind], [tr.queries for tr in traces])
+            longest = max(longest, *(len(tr.iterations) for tr in traces))
+        assert longest > UNIFORM_BLOCK  # some run refilled its block of uniforms
 
     def test_deterministic_and_sorted(self):
         inst = sample_instance(3)
