@@ -16,10 +16,13 @@ Two interchangeable backends produce the per-iteration samples:
   each state's bitmask; a sample is marked (objective strictly below the
   threshold) with the exact Grover probability
   sin^2((2L+1) * asin(sqrt(t/|S|))) and drawn uniformly within its class.
-* ``exact``    -- the actual circuit's statevector: a vectorized preparation
-  (phase ladder plus an FFT for the inverse QFT), unitarily identical to the
-  gate-level construction; L Grover steps then follow in closed form (see
-  ExactEngine, whose ``grover_step`` is the reference the tests check).
+* ``exact``    -- the actual circuit's statevector, in closed form.  Reading
+  the QFT-loaded value register is a phase-estimation readout, so each state
+  is marked with a Fejer-kernel weight of its register offset, tabulated once
+  per distinct fractional part; L Grover steps then follow from the marked
+  mass (see ExactEngine).  Its ``prepared_state`` grid (phase ladder plus an
+  FFT for the inverse QFT, unitarily identical to the gate-level
+  construction) and ``grover_step`` are the reference the tests check.
 
 Query accounting: one iteration with L Grover applications costs L + 1
 queries (the +1 is the state preparation/measurement).  The initial
@@ -37,7 +40,6 @@ from .circuits import dicke_rank_to_bits, objective_denominator, objective_value
 from .encodings import Formulation, FormulationKind
 
 EMULATION_SPACE_CAP = 1 << 26
-EXACT_VARIABLE_CAP = 20
 GROWTH_FACTOR = 8.0 / 7.0
 # Iterations served by one rng.random call of a run; the stream is read in
 # order, so trajectories do not depend on this length.
@@ -159,94 +161,153 @@ class SearchSpace:
 
 
 class ExactEngine:
-    """Statevector sampler equivalent to running the prepared circuit.
+    """Statevector sampler equivalent to running the prepared circuit, in closed form.
 
-    Works on the (value register) x (variable register) amplitude grid.  The
-    preparation applies the initial superposition, the diagonal phase ladder
-    for scale*(E(x) - y), and the inverse Fourier transform along the value
-    axis.  A Grover step is the sign-bit oracle followed by the reflection
-    about the prepared state, so L steps rotate the state in the plane of the
-    prepared state's marked (sign bit set) and unmarked parts: x is read with
-    probability sin^2((2L+1)theta) p_m(x) + cos^2((2L+1)theta) p_u(x), where
-    sin^2(theta) is the marked mass and p_m, p_u are the parts' marginals.
-    One split per threshold serves every L; `grover_step` is the test reference.
+    The preparation loads delta_x = scale*(E(x) - y) into an m-qubit value
+    register (phase ladder, inverse QFT), so reading it is a phase-estimation
+    readout: column x holds |a(delta_x - z)|^2 / |S| at register value z, with
+    M = 2^m and the Fejer amplitude a(d) = sin(pi d) / (M sin(pi d / M)).
+    State x is marked (sign bit set) with weight
+    w(delta_x) = sum_{z=M/2}^{M-1} |a(delta_x - z)|^2; the marked mass
+    sin^2(theta) is the mean of w over the support, and the marked and
+    unmarked parts have marginals p_m ~ w and p_u ~ 1 - w.  A Grover step
+    (sign-bit oracle, reflection about the prepared state) rotates the plane
+    of those parts, so after L steps x is read with probability
+    sin^2((2L+1)theta) p_m(x) + cos^2((2L+1)theta) p_u(x).  The weights take
+    one kernel row per distinct fractional part of delta and one window sum
+    per distinct value; the 2^(n+m) amplitude grid is built only by
+    ``prepared_state``, which with ``grover_step`` is the tests' reference.
 
     ``scale`` multiplies the objective inside the register (thresholds and
     reported values stay unscaled); choosing a scale that makes all values
-    integers makes the register readout, and hence the oracle, exact.
+    integers makes the register readout, and hence the oracle, exact: every
+    weight is then 0 or 1 and the marked mass is count_below / size.
     """
 
     def __init__(self, form: Formulation, scale: float = 1.0):
         n = form.num_vars
-        if n > EXACT_VARIABLE_CAP:
+        if 1 << n > EMULATION_SPACE_CAP:
             raise SpaceScaleError(
-                f"{n} binary variables exceed the exact backend cap {EXACT_VARIABLE_CAP}"
+                f"{n} binary variables exceed the exact backend cap of {EMULATION_SPACE_CAP} states"
             )
         self.form = form
         self.size = form.space_size
         self.scale = float(scale)
-        den = objective_denominator(form)
-        self.values = form.poly.scaled(den).evaluate_table(np.int64) / den
+        self._den = den = objective_denominator(form)
+        numerators = form.poly.scaled(den).evaluate_table(np.int64)
+        self.values = numerators / den
         self.support = np.ones(1 << n, dtype=bool)
         if form.kind is FormulationKind.QUBO_DICKE:
             masks = dicke_rank_to_bits(form, np.arange(self.size))
             self.support = np.isin(np.arange(1 << n), masks)
-        sup_vals = self.values[self.support]
-        self.lo, self.hi = float(sup_vals.min()), float(sup_vals.max())
+        self._support_states = np.flatnonzero(self.support)
+        # The distinct support values as exact numerators over den, ascending,
+        # and the level of each support state.
+        self._levels, self._level_of = np.unique(numerators[self._support_states], return_inverse=True)
+        self.lo, self.hi = float(self._levels[0] / den), float(self._levels[-1] / den)
         span = self.scale * (self.hi - self.lo)
         self.width = width_for_range(-span, span)
-        if n + self.width > 26:
-            raise SpaceScaleError(
-                f"{n}+{self.width} qubits exceed the statevector cap; "
-                "use the emulated backend"
-            )
-        self._support_states = np.flatnonzero(self.support)
-        amp = 1.0 / math.sqrt(self.size)
-        self._init = np.where(self.support, amp, 0.0).astype(np.complex128)
-        half = 1 << (self.width - 1)
-        signs = np.ones(1 << self.width)
-        signs[half:] = -1.0
-        self._oracle = signs[:, np.newaxis]
-        self._z = np.arange(1 << self.width)[:, np.newaxis]
-        self._splits: dict[float, tuple[float, np.ndarray, np.ndarray]] = {}
+        self._last_split = (math.nan, None)
 
-    def prepared_state(self, threshold: float) -> np.ndarray:
-        """Grid (2^m, 2^n) of amplitudes after the preparation operator, built in place.
-
-        Raises ValueError if scale*(E(x) - threshold) would wrap the register.
-        """
+    def _check_register(self, threshold: float) -> None:
+        """Raise ValueError if scale*(E(x) - threshold) would wrap the value register."""
         m = self.width
         lo, hi = self.scale * (self.lo - threshold), self.scale * (self.hi - threshold)
         if width_for_range(lo, hi) > m:
             raise ValueError(f"threshold {threshold!r} overflows the {m}-qubit value register")
-        rows = 1 << m
-        grid = np.zeros((rows, self._init.size), dtype=np.complex128)
-        np.multiply(2 * math.pi * self.scale * (self.values - threshold), self._z, out=grid.imag)
+
+    def prepared_state(self, threshold: float) -> np.ndarray:
+        """Grid (2^m, 2^n) of amplitudes after the preparation operator, built in place.
+
+        The reference for the closed-form split.  Raises ValueError if
+        scale*(E(x) - threshold) would wrap the register, and SpaceScaleError
+        if the grid would hold more than EMULATION_SPACE_CAP amplitudes.
+        """
+        self._check_register(threshold)
+        rows = 1 << self.width
+        if rows * self.values.size > EMULATION_SPACE_CAP:
+            raise SpaceScaleError(
+                f"{self.form.num_vars}+{self.width} qubits exceed the statevector cap"
+            )
+        init = np.where(self.support, 1.0 / math.sqrt(self.size), 0.0)
+        z = np.arange(rows)[:, np.newaxis]
+        grid = np.zeros((rows, self.values.size), dtype=np.complex128)
+        np.multiply(2 * math.pi * self.scale * (self.values - threshold), z, out=grid.imag)
         grid.imag /= rows
         np.exp(grid, out=grid)
-        grid *= self._init / math.sqrt(rows)
+        grid *= init / math.sqrt(rows)
         np.fft.fft(grid, axis=0, out=grid)
         grid /= math.sqrt(rows)
         return grid
 
     def grover_step(self, state: np.ndarray, prepared: np.ndarray) -> np.ndarray:
-        flipped = self._oracle * state
+        """The sign-bit oracle (a Z on the top value qubit), then the reflection about `prepared`."""
+        flipped = state.copy()
+        flipped[state.shape[0] // 2:] *= -1.0
         overlap = np.vdot(prepared, flipped)
         return 2.0 * overlap * prepared - flipped
 
+    def _level_weights(self, threshold: float) -> np.ndarray:
+        """Marked weight w(delta) of each distinct support value at `threshold`."""
+        self._check_register(threshold)
+        den = self._den
+        # A threshold that is the float of a value k/den stands for k exactly,
+        # so an integer-making scale gives integer offsets, free of float dust.
+        t = np.round(threshold * den)
+        if t / den != threshold:
+            t = threshold * den
+        delta = self.scale * (self._levels - t) / den
+        # round, not floor: f stays in [-1/2, 1/2], where sin(pi f) keeps its precision.
+        whole = np.round(delta)
+        fracs, row = np.unique(delta - whole, return_inverse=True)
+        rows = 1 << self.width
+        if fracs.size * rows > EMULATION_SPACE_CAP:
+            raise SpaceScaleError(
+                f"{fracs.size} kernel rows of {rows} points exceed the cap {EMULATION_SPACE_CAP}"
+            )
+        # |a(f + j)|^2 at j = 1..M, with each j taken mod M into (-M/2, M/2]
+        # so that sin(pi d / M) keeps its relative precision; sin(pi d) is
+        # +-sin(pi f), which is exactly 0 at f = 0, where the row is the
+        # indicator of j = 0 (mod M).
+        half = rows // 2
+        offsets = np.arange(1, rows + 1)
+        offsets[half:] -= rows
+        d = fracs[:, np.newaxis] + offsets
+        kernel = np.ones_like(d)
+        np.divide(
+            np.sin(np.pi * fracs)[:, np.newaxis], rows * np.sin(np.pi / rows * d),
+            out=kernel, where=d != 0,
+        )
+        kernel **= 2
+        # w(b + f) sums the row over j = b+1 .. b+M/2 (mod M): a circular
+        # window starting at column b mod M.
+        circle = np.concatenate([np.zeros((fracs.size, 1)), kernel, kernel[:, :half]], axis=1)
+        prefix = np.cumsum(circle, axis=1)
+        start = whole.astype(np.int64) % rows
+        return prefix[row, start + half] - prefix[row, start]
+
     def _split(self, threshold: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """sin^2(theta), rows (p_u, p_m) and their cumsums ending at exactly 1 (or all 0)."""
-        split = self._splits.get(threshold)
-        if split is None:
-            if len(self._splits) > 512:
-                self._splits.clear()
-            probs = np.abs(self.prepared_state(threshold)) ** 2
-            parts = probs.reshape(2, -1, probs.shape[1]).sum(axis=1)
-            cumulative = np.cumsum(parts, axis=1)
-            masses = cumulative[:, -1:]
-            norm = np.where(masses > 0.0, masses, 1.0)
-            split = (float(masses[1, 0] / masses.sum()), parts / norm, cumulative / norm)
-            self._splits[threshold] = split
+        """sin^2(theta), rows (p_u, p_m) and their cumsums ending at exactly 1 (or all 0).
+
+        The split of the last threshold seen is kept: a GAS run keeps its
+        threshold until a sample improves on it.
+        """
+        last, split = self._last_split
+        if threshold == last:
+            return split
+        weights = self._level_weights(threshold)
+        marked = weights[self._level_of]
+        parts = np.zeros((2, self.values.size))
+        parts[0, self._support_states] = 1.0 - marked
+        parts[1, self._support_states] = marked
+        cumulative = np.cumsum(parts, axis=1)
+        masses = cumulative[:, -1:]
+        marked_mass = float(masses[1, 0] / masses.sum())
+        norm = np.where(masses > 0.0, masses, 1.0)
+        parts /= norm
+        cumulative /= norm
+        split = (marked_mass, parts, cumulative)
+        self._last_split = (threshold, split)
         return split
 
     def variable_distribution(self, threshold: float, rotations: int) -> np.ndarray:
@@ -285,11 +346,6 @@ class ExactEngine:
     def uniform_sample(self, rng: np.random.Generator) -> tuple[int, float]:
         states = self._support_states
         x = int(states[rng.integers(len(states))])
-        return x, float(self.values[x])
-
-    def minimum(self) -> tuple[int, float]:
-        sup_vals = np.where(self.support, self.values, np.inf)
-        x = int(np.argmin(sup_vals))
         return x, float(self.values[x])
 
 

@@ -337,8 +337,15 @@ class TestExactEngine:
             (lambda: encode_hubo_hw(dyadic_instance(3, seed=26)), 4.0),
             (lambda: encode_hubo_hw(random_instance(3, seed=26)), 1.0),
             (lambda: encode_qubo_dicke(dyadic_instance(3, seed=26)), 4.0),
+            (lambda: encode(random_instance(3, seed=208), "qubo-h"), 1.0),
+            # Integer offsets, which the grid's phases carry with float dust.
+            (lambda: encode(random_instance(3, seed=208), "qubo-d"), 100.0),
+            (lambda: encode(random_instance(3, seed=208), "hubo-hw"), 0.37),
         ],
-        ids=["hubo-hw-exact-register", "hubo-hw-leaky-oracle", "qubo-d"],
+        ids=[
+            "hubo-hw-exact-register", "hubo-hw-leaky-oracle", "qubo-d",
+            "qubo-h-scale-1", "qubo-d-scale-100", "hubo-hw-non-dyadic-scale",
+        ],
     )
     def test_closed_form_matches_iterated_grover_steps(self, make_form, scale):
         engine = ExactEngine(make_form(), scale=scale)
@@ -362,10 +369,37 @@ class TestExactEngine:
         engine = ExactEngine(form)
         assert engine.values[space.order].tolist() == space.sorted_values.tolist()
 
+    @pytest.mark.parametrize(
+        "kind, n", [("qubo-h", 3), ("qubo-d", 3), ("hubo-hw", 3), ("hubo-hw", 4)]
+    )
+    def test_integer_register_marks_exactly_the_states_below(self, kind, n):
+        """At a scale that makes every value an integer, each weight is 0 or 1: the marked
+        mass is count_below / size exactly, and the two parts are the two value classes."""
+        form = encode(random_instance(n, seed=208), kind)
+        engine = ExactEngine(form, scale=100.0)
+        space = SearchSpace(form)
+        for q in (0.0, 0.1, 0.5, 0.9, 1.0):
+            y = float(space.sorted_values[int(q * (space.size - 1))])
+            marked_mass, (unmarked, marked), _ = engine._split(y)
+            assert marked_mass == space.count_below(y) / space.size
+            assert not marked[engine.values >= y].any()
+            assert not unmarked[engine.values < y].any()
+
     def test_variable_cap(self):
-        inst = random_instance(5, seed=0)
+        inst = random_instance(6, seed=0)
         with pytest.raises(SpaceScaleError):
-            ExactEngine(encode(inst, "qubo-h"))  # 25 variables
+            ExactEngine(encode(inst, "qubo-d"))  # 36 variables
+
+    def test_register_too_wide_for_the_weight_table(self):
+        """A kernel row of 2^37 points is refused before anything of that size is allocated."""
+        form = encode(random_instance(3, seed=5), "hubo-hw")
+        engine = ExactEngine(form, scale=1e9)
+        assert engine.width > 32
+        y = float(np.median(engine.values))
+        with pytest.raises(SpaceScaleError):
+            engine.variable_distribution(y, 1)
+        with pytest.raises(SpaceScaleError):
+            engine.prepared_state(y)
 
     @pytest.mark.slow
     def test_backend_sampling_distributions_agree(self):
