@@ -38,6 +38,10 @@ _CONTROLLED = frozenset({"cnot", "cry", "cphase", "crz"})
 _PARAMETRIC = frozenset({"phase", "rz", "ry", "cry", "cphase", "crz"})
 
 
+class SpaceScaleError(ValueError):
+    """Raised when a search space is too large to enumerate or simulate."""
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -151,7 +155,9 @@ def substitute_rz(circuit: Circuit) -> Circuit:
 
 
 def width_for_range(lo: float, hi: float) -> int:
-    """Smallest m with -2^(m-1) <= lo and hi < 2^(m-1)."""
+    """Smallest m with -2^(m-1) <= lo and hi < 2^(m-1); ValueError if a bound is not finite."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"no register holds the range [{lo!r}, {hi!r}]")
     m = 1
     while not (-(2 ** (m - 1)) <= lo and hi < 2 ** (m - 1)):
         m += 1
@@ -192,8 +198,11 @@ def objective_values(form: Formulation) -> np.ndarray:
     For the hypercube spaces the index is the variable bitmask itself; for
     the Dicke-initialized space it ranks the row-wise location assignments in
     mixed-radix order (row 0 least significant).  The sums are exact, so
-    values / den is float(form.poly.evaluate(bits)) bit for bit.
+    values / den is float(form.poly.evaluate(bits)) bit for bit.  Raises
+    SpaceScaleError, before enumerating, when a bitmask would not fit in int64.
     """
+    if form.num_vars > 63:
+        raise SpaceScaleError(f"bitmasks of {form.num_vars} variables overflow int64")
     den = objective_denominator(form)
     if form.kind is not FormulationKind.QUBO_DICKE:
         return form.poly.scaled(den).evaluate_table(np.int64)

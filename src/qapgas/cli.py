@@ -199,7 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--backend", choices=["emulated", "exact"], default="emulated")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=float, default=None,
+                   help="exact backend: value-register scale (default: the objective's common "
+                        "denominator, which makes the register exact)")
     p.add_argument("--stall", type=int, default=0,
                    help="stop after this many non-improving iterations instead of at the optimum")
     p.add_argument("--max-iterations", type=int, default=100_000)

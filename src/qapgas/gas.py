@@ -7,22 +7,24 @@ draw range by a factor 8/7 on every failure, capped at sqrt(space size)),
 re-evaluating each measured sample classically and lowering the threshold on
 improvement.
 
-Two interchangeable backends produce the per-iteration samples:
+Two interchangeable backends produce the per-iteration samples, and both
+stand on one index.  The search space is enumerated once as exact integer
+values at the objective's common denominator (the Dicke space by one
+vectorized pass over its N^N row-wise assignments) and indexed by one sort of
+packed (value, state) keys, keeping each state's bitmask (SearchSpace).
 
-* ``emulated`` -- classical amplification model.  The search space is
-  enumerated once as exact integer values at the objective's common
-  denominator (the Dicke space by one vectorized pass over its N^N row-wise
-  assignments) and indexed by one sort of packed (value, state) keys, keeping
-  each state's bitmask; a sample is marked (objective strictly below the
-  threshold) with the exact Grover probability
+* ``emulated`` -- classical amplification model: a sample is marked
+  (objective strictly below the threshold) with the exact Grover probability
   sin^2((2L+1) * asin(sqrt(t/|S|))) and drawn uniformly within its class.
 * ``exact``    -- the actual circuit's statevector, in closed form.  Reading
-  the QFT-loaded value register is a phase-estimation readout, so each state
-  is marked with a Fejer-kernel weight of its register offset, tabulated once
-  per distinct fractional part; L Grover steps then follow from the marked
-  mass (see ExactEngine).  Its ``prepared_state`` grid (phase ladder plus an
-  FFT for the inverse QFT, unitarily identical to the gate-level
-  construction) and ``grover_step`` are the reference the tests check.
+  the QFT-loaded value register is a phase-estimation readout that sees a
+  state only through its value, so each value level of the index is marked
+  with one Fejer-kernel weight of its register offset; L Grover steps then
+  follow from the marked mass (see ExactEngine).  At the default register
+  scale every weight is 0 or 1 and the two backends draw the same states.
+  Its ``prepared_state`` grid (phase ladder plus an FFT for the inverse QFT,
+  unitarily identical to the gate-level construction) and ``grover_step``
+  are the reference the tests check.
 
 Query accounting: one iteration with L Grover applications costs L + 1
 queries (the +1 is the state preparation/measurement).  The initial
@@ -36,7 +38,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import dicke_rank_to_bits, objective_denominator, objective_values, width_for_range
+from .circuits import (
+    SpaceScaleError,
+    dicke_rank_to_bits,
+    objective_denominator,
+    objective_values,
+    width_for_range,
+)
 from .encodings import Formulation, FormulationKind
 
 EMULATION_SPACE_CAP = 1 << 26
@@ -44,10 +52,6 @@ GROWTH_FACTOR = 8.0 / 7.0
 # Iterations served by one rng.random call of a run; the stream is read in
 # order, so trajectories do not depend on this length.
 UNIFORM_BLOCK = 64
-
-
-class SpaceScaleError(ValueError):
-    """Raised when a search space is too large to enumerate or simulate."""
 
 
 def amplified_probability(fraction: float, rotations: int) -> float:
@@ -87,7 +91,7 @@ class SearchSpace:
             )
         self.size = size
         key = objective_values(form)
-        den = objective_denominator(form)
+        self._den = den = objective_denominator(form)
         lo = int(key.min())
         span = int(key.max()) - lo
         shift = (size - 1).bit_length()
@@ -160,7 +164,7 @@ class SearchSpace:
 # ---------------------------------------------------------------------------
 
 
-class ExactEngine:
+class ExactEngine(SearchSpace):
     """Statevector sampler equivalent to running the prepared circuit, in closed form.
 
     The preparation loads delta_x = scale*(E(x) - y) into an m-qubit value
@@ -168,46 +172,56 @@ class ExactEngine:
     readout: column x holds |a(delta_x - z)|^2 / |S| at register value z, with
     M = 2^m and the Fejer amplitude a(d) = sin(pi d) / (M sin(pi d / M)).
     State x is marked (sign bit set) with weight
-    w(delta_x) = sum_{z=M/2}^{M-1} |a(delta_x - z)|^2; the marked mass
-    sin^2(theta) is the mean of w over the support, and the marked and
-    unmarked parts have marginals p_m ~ w and p_u ~ 1 - w.  A Grover step
-    (sign-bit oracle, reflection about the prepared state) rotates the plane
-    of those parts, so after L steps x is read with probability
-    sin^2((2L+1)theta) p_m(x) + cos^2((2L+1)theta) p_u(x).  The weights take
-    one kernel row per distinct fractional part of delta and one window sum
-    per distinct value; the 2^(n+m) amplitude grid is built only by
+    w(delta_x) = sum_{z=M/2}^{M-1} |a(delta_x - z)|^2, a function of E(x); so
+    the engine is the SearchSpace index plus one weight per value level (run
+    of equal sorted values).  The marked mass sin^2(theta) is the mean of w,
+    and the marked and unmarked parts have marginals p_m ~ w and p_u ~ 1 - w.
+    A Grover step (sign-bit oracle, reflection about the prepared state)
+    rotates the plane of those parts, so after L steps x is read with
+    probability sin^2((2L+1)theta) p_m(x) + cos^2((2L+1)theta) p_u(x).  The
+    weights take one kernel row per distinct fractional part of delta and one
+    window sum per level; the 2^(n+m) amplitude grid is built only by
     ``prepared_state``, which with ``grover_step`` is the tests' reference.
 
     ``scale`` multiplies the objective inside the register (thresholds and
-    reported values stay unscaled); choosing a scale that makes all values
-    integers makes the register readout, and hence the oracle, exact: every
-    weight is then 0 or 1 and the marked mass is count_below / size.
+    reported values stay unscaled).  Its default, objective_denominator,
+    makes every register value an integer and the oracle exact: each weight
+    is 0 or 1, the marked mass is count_below / size, and ``draw`` is
+    SearchSpace.draw bit for bit.
     """
 
-    def __init__(self, form: Formulation, scale: float = 1.0):
-        n = form.num_vars
-        if 1 << n > EMULATION_SPACE_CAP:
-            raise SpaceScaleError(
-                f"{n} binary variables exceed the exact backend cap of {EMULATION_SPACE_CAP} states"
-            )
+    def __init__(self, form: Formulation, scale: float | None = None):
+        if 1 << form.num_vars > EMULATION_SPACE_CAP:
+            raise SpaceScaleError(f"2^{form.num_vars} bitmasks exceed the cap {EMULATION_SPACE_CAP}")
+        super().__init__(form)
         self.form = form
-        self.size = form.space_size
-        self.scale = float(scale)
-        self._den = den = objective_denominator(form)
-        numerators = form.poly.scaled(den).evaluate_table(np.int64)
-        self.values = numerators / den
-        self.support = np.ones(1 << n, dtype=bool)
-        if form.kind is FormulationKind.QUBO_DICKE:
-            masks = dicke_rank_to_bits(form, np.arange(self.size))
-            self.support = np.isin(np.arange(1 << n), masks)
-        self._support_states = np.flatnonzero(self.support)
-        # The distinct support values as exact numerators over den, ascending,
-        # and the level of each support state.
-        self._levels, self._level_of = np.unique(numerators[self._support_states], return_inverse=True)
-        self.lo, self.hi = float(self._levels[0] / den), float(self._levels[-1] / den)
+        self.scale = float(self._den if scale is None else scale)
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"register scale {scale!r} must be positive and finite")
+        # The level table: the start rank and count of each run of equal
+        # sorted values, and its value as an exact numerator over den.
+        values = self.sorted_values
+        self._starts = np.r_[0, np.flatnonzero(values[1:] != values[:-1]) + 1]
+        self._counts = np.diff(self._starts, append=self.size)
+        self._levels = np.rint(values[self._starts] * self._den)
+        if not np.array_equal(self._levels / self._den, values[self._starts]):
+            raise ValueError(f"a value level is not a multiple of 1/{self._den}")
+        self.lo, self.hi = float(values[0]), float(values[-1])
         span = self.scale * (self.hi - self.lo)
         self.width = width_for_range(-span, span)
         self._last_split = (math.nan, None)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Value of every variable bitmask, 0 off the support; built on each access."""
+        values = np.zeros(1 << self.form.num_vars)
+        values[self.order] = self.sorted_values
+        return values
+
+    @property
+    def support(self) -> np.ndarray:
+        """Whether each variable bitmask is in the search space; built on each access."""
+        return np.bincount(self.order, minlength=1 << self.form.num_vars) > 0
 
     def _check_register(self, threshold: float) -> None:
         """Raise ValueError if scale*(E(x) - threshold) would wrap the value register."""
@@ -225,14 +239,15 @@ class ExactEngine:
         """
         self._check_register(threshold)
         rows = 1 << self.width
-        if rows * self.values.size > EMULATION_SPACE_CAP:
+        if rows << self.form.num_vars > EMULATION_SPACE_CAP:
             raise SpaceScaleError(
                 f"{self.form.num_vars}+{self.width} qubits exceed the statevector cap"
             )
+        values = self.values
         init = np.where(self.support, 1.0 / math.sqrt(self.size), 0.0)
         z = np.arange(rows)[:, np.newaxis]
-        grid = np.zeros((rows, self.values.size), dtype=np.complex128)
-        np.multiply(2 * math.pi * self.scale * (self.values - threshold), z, out=grid.imag)
+        grid = np.zeros((rows, values.size), dtype=np.complex128)
+        np.multiply(2 * math.pi * self.scale * (values - threshold), z, out=grid.imag)
         grid.imag /= rows
         np.exp(grid, out=grid)
         grid *= init / math.sqrt(rows)
@@ -287,7 +302,8 @@ class ExactEngine:
         return prefix[row, start + half] - prefix[row, start]
 
     def _split(self, threshold: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """sin^2(theta), rows (p_u, p_m) and their cumsums ending at exactly 1 (or all 0).
+        """sin^2(theta), each level's per-state weights (1 - w, w), and the
+        cumulative masses count*(1 - w) and count*w over the levels, from 0.
 
         The split of the last threshold seen is kept: a GAS run keeps its
         threshold until a sample improves on it.
@@ -296,44 +312,38 @@ class ExactEngine:
         if threshold == last:
             return split
         weights = self._level_weights(threshold)
-        marked = weights[self._level_of]
-        parts = np.zeros((2, self.values.size))
-        parts[0, self._support_states] = 1.0 - marked
-        parts[1, self._support_states] = marked
-        cumulative = np.cumsum(parts, axis=1)
-        masses = cumulative[:, -1:]
-        marked_mass = float(masses[1, 0] / masses.sum())
-        norm = np.where(masses > 0.0, masses, 1.0)
-        parts /= norm
-        cumulative /= norm
-        split = (marked_mass, parts, cumulative)
+        parts = np.stack([1.0 - weights, weights])
+        cumulative = np.cumsum(np.pad(parts * self._counts, ((0, 0), (1, 0))), axis=1)
+        split = (float(cumulative[1, -1] / self.size), parts, cumulative)
         self._last_split = (threshold, split)
         return split
 
     def variable_distribution(self, threshold: float, rotations: int) -> np.ndarray:
         """Distribution of the variable register after `rotations` Grover steps."""
-        marked_mass, marginals, _ = self._split(threshold)
+        marked_mass, parts, cumulative = self._split(threshold)
         p = amplified_probability(marked_mass, rotations)
-        return (1.0 - p) * marginals[0] + p * marginals[1]
-
-    def _marked(self, threshold: float, rotations: int) -> tuple[bool, float, np.ndarray]:
-        """Whether all mass is marked, the marked probability (then exactly 1), and the cumsums."""
-        marked_mass, _, cumulative = self._split(threshold)
-        if marked_mass == 1.0:
-            return True, 1.0, cumulative
-        return False, amplified_probability(marked_mass, rotations), cumulative
+        masses = cumulative[:, -1:]
+        marginals = parts / np.where(masses > 0.0, masses, 1.0)
+        probs = np.zeros(1 << self.form.num_vars)
+        probs[self.order] = np.repeat((1.0 - p) * marginals[0] + p * marginals[1], self._counts)
+        return probs
 
     def sample(self, threshold: float, rotations: int, rng: np.random.Generator) -> tuple[int, float]:
-        certain, p, cumulative = self._marked(threshold, rotations)
-        branch = int(certain or rng.random() < p)
-        x = int(np.searchsorted(cumulative[branch], rng.random(), side="right"))
-        return x, float(self.values[x])
+        return self.draw(threshold, rotations, rng.random(), rng.random())
 
     def draw(self, threshold: float, rotations: int, u_branch: float, u_rank: float) -> tuple[int, float]:
-        """`sample` driven by two uniforms on [0, 1): the branch, then x by inverse CDF."""
-        _, p, cumulative = self._marked(threshold, rotations)
-        x = int(np.searchsorted(cumulative[int(u_branch < p)], u_rank, side="right"))
-        return x, float(self.values[x])
+        """`sample` driven by two uniforms on [0, 1): the branch, then its level by
+        inverse CDF, and the rank within the level from the remainder of the target."""
+        marked_mass, parts, cumulative = self._split(threshold)
+        p = 1.0 if marked_mass == 1.0 else amplified_probability(marked_mass, rotations)
+        branch = int(u_branch < p)
+        masses = cumulative[branch]
+        target = u_rank * masses[-1]
+        level = int(np.searchsorted(masses, target, side="right")) - 1
+        # At weights 0 and 1 the masses are integer counts, so this is exact.
+        offset = int((target - masses[level]) / parts[branch, level])
+        rank = self._starts[level] + min(offset, self._counts[level] - 1)
+        return int(self.order[rank]), float(self.sorted_values[rank])
 
     def sample_many(
         self, threshold: float, rotations: int, shots: int, rng: np.random.Generator
@@ -342,11 +352,6 @@ class ExactEngine:
         cumulative = np.cumsum(self.variable_distribution(threshold, rotations))
         cumulative /= cumulative[-1]
         return np.searchsorted(cumulative, rng.random(shots), side="right")
-
-    def uniform_sample(self, rng: np.random.Generator) -> tuple[int, float]:
-        states = self._support_states
-        x = int(states[rng.integers(len(states))])
-        return x, float(self.values[x])
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,14 @@ class TestGasCommand:
         for line in lines[1:]:
             assert float(line.split(",")[4]) == pytest.approx(best, rel=1e-8)
 
+    def test_exact_backend_at_default_scale_matches_emulated(self, instance_file, capsys):
+        """Without --scale the value register is exact, so both backends print the same runs."""
+        args = ["gas", "--kind", "hubo-hw", "--in", str(instance_file), "--runs", "5", "--seed", "4"]
+        main(args)
+        emulated = capsys.readouterr().out
+        main([*args, "--backend", "exact"])
+        assert capsys.readouterr().out == emulated
+
     def test_stall_termination(self, instance_file, capsys):
         main([
             "gas", "--kind", "hubo-hw", "--in", str(instance_file),

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from qapgas.gas import (
 )
 from qapgas.polynomials import MultilinearPolynomial
 from qapgas.qap import QapInstance, brute_force_optimum, objective, random_instance
-from qapgas.samples import sample_instance
+from qapgas.samples import sample_instance, sample_optimum
 
 
 def dyadic_instance(n, seed):
@@ -40,6 +44,44 @@ def dyadic_instance(n, seed):
         mat = np.triu(mat, 1)
         mats.append(mat + mat.T)
     return QapInstance(n, mats[0], mats[1], name=f"dyadic-{n}-{seed}")
+
+
+def assert_marks_exactly_the_levels_below(engine, y, count_below):
+    """The split at `y` has weight exactly 1 on the levels below y and exactly 0 on
+    the rest, and its marked mass is count_below / size with ==."""
+    marked_mass, (unmarked, marked), _ = engine._split(y)
+    assert marked_mass == count_below / engine.size
+    below = engine.sorted_values[engine._starts] < y
+    np.testing.assert_array_equal(marked, below)
+    np.testing.assert_array_equal(unmarked, ~below)
+
+
+GUARD_SECONDS = 60
+GUARDED_SCRIPT = """
+import math, sys
+from qapgas import encode, random_instance
+from qapgas.circuits import width_for_range
+from qapgas.gas import ExactEngine
+form = encode(random_instance(3, 1), "hubo-hw")
+for statement in sys.argv[1:]:
+    try:
+        exec(statement)
+    except Exception as exc:
+        print(type(exc).__name__)
+    else:
+        print("-")
+"""
+
+
+def exceptions_raised(*statements: str) -> list[str]:
+    """The exception each statement raises ("-" for none), in a child interpreter that
+    is killed after GUARD_SECONDS, so that a statement that loops fails the caller."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", GUARDED_SCRIPT, *statements],
+        capture_output=True, text=True, timeout=GUARD_SECONDS, env=env, check=True,
+    )
+    return done.stdout.split()
 
 
 class TestMarkedProbability:
@@ -140,6 +182,18 @@ class TestSearchSpace:
         np.testing.assert_array_equal(space.order, ranks)
         assert space.sorted_values.tolist() == sorted(numerators / objective_denominator(form))
 
+    def test_dicke_space_at_n8_refused_before_enumeration(self):
+        """64 variables overflow an int64 bitmask: refused before 8^8 states are touched."""
+        form = encode_qubo_dicke(sample_instance(8))
+        tracemalloc.start()
+        try:
+            for compute in (objective_values, SearchSpace):
+                with pytest.raises(SpaceScaleError, match="overflow int64"):
+                    compute(form)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
     def test_value_span_overflowing_the_key_rejected(self):
         # 12 state bits plus a span of 2^52 need 65 key bits.
         poly = MultilinearPolynomial(12, {(0,): 2**51, (1,): -(2**51)})
@@ -219,6 +273,20 @@ class TestUniformDraws:
                 x, value = engine.draw(y, 1, u_branch, u_rank)
                 assert engine.support[x]
                 assert value == engine.values[x]
+
+    def test_exact_draws_on_a_rank_grid_follow_the_distribution(self):
+        """With fractional register offsets, evenly spaced rank uniforms in each branch,
+        mixed by the marked mass, hit every state within 1/shots of its L = 0 probability."""
+        form = encode(random_instance(3, seed=208), "hubo-hw")
+        engine = ExactEngine(form, scale=0.37)
+        y = float(engine.sorted_values[engine.size // 2])
+        marked_mass = engine._split(y)[0]
+        shots = 20_000
+        mix = np.zeros(1 << form.num_vars)
+        for u_branch, share in ((0.0, marked_mass), (TOP_UNIFORM, 1.0 - marked_mass)):
+            for u_rank in (np.arange(shots) + 0.5) / shots:
+                mix[engine.draw(y, 0, u_branch, u_rank)[0]] += share / shots
+        np.testing.assert_allclose(mix, engine.variable_distribution(y, 0), rtol=0, atol=1.5 / shots)
 
 
 class TestRunGas:
@@ -380,10 +448,48 @@ class TestExactEngine:
         space = SearchSpace(form)
         for q in (0.0, 0.1, 0.5, 0.9, 1.0):
             y = float(space.sorted_values[int(q * (space.size - 1))])
-            marked_mass, (unmarked, marked), _ = engine._split(y)
-            assert marked_mass == space.count_below(y) / space.size
-            assert not marked[engine.values >= y].any()
-            assert not unmarked[engine.values < y].any()
+            assert_marks_exactly_the_levels_below(engine, y, space.count_below(y))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", ["qubo-h", "qubo-d", "hubo-hw"])
+    def test_default_scale_runs_equal_emulated_runs(self, kind, n):
+        """At the default scale every weight is 0 or 1, so the exact backend draws exactly
+        what the emulated one draws: the same initial state and the same iterations."""
+        inst = random_instance(n, seed=208)
+        form = encode(inst, kind)
+        _, best = brute_force_optimum(inst)
+        engine, space = ExactEngine(form), SearchSpace(form)
+        for child in np.random.SeedSequence(n).spawn(200):
+            exact = GasConfig(termination=KnownOptimum(best), backend="exact", seed=child)
+            emulated = GasConfig(termination=KnownOptimum(best), seed=child)
+            assert run_gas(form, exact, engine=engine) == run_gas(form, emulated, space=space)
+
+    @pytest.mark.slow
+    def test_default_scale_is_exact_at_n8(self):
+        """hubo-hw at N=8 (2^24 states): the median threshold marks exactly the levels
+        below it, and a seeded exact run reaches the optimum."""
+        form = encode(sample_instance(8), "hubo-hw")
+        engine = ExactEngine(form)
+        y = float(engine.sorted_values[engine.size // 2])
+        assert_marks_exactly_the_levels_below(engine, y, engine.count_below(y))
+        _, best = sample_optimum(8)
+        config = GasConfig(termination=KnownOptimum(best), backend="exact", seed=8)
+        assert run_gas(form, config, engine=engine).found_optimum is True
+
+    def test_non_finite_bounds_and_bad_scales_raise(self):
+        """Each statement once hung or marked the wrong states; run in a child interpreter
+        with a timeout, a hang fails the test instead of hanging it."""
+        statements = (
+            "width_for_range(-math.inf, 0.0)",
+            "width_for_range(math.nan, 0.0)",
+            "width_for_range(0.0, math.nan)",
+            "ExactEngine(form, scale=100.0).variable_distribution(math.inf, 0)",
+            "ExactEngine(form, scale=math.nan)",
+            "ExactEngine(form, scale=math.inf)",
+            "ExactEngine(form, scale=-1.0)",
+            "ExactEngine(form, scale=0.0)",
+        )
+        assert exceptions_raised(*statements) == ["ValueError"] * len(statements)
 
     def test_variable_cap(self):
         inst = random_instance(6, seed=0)
