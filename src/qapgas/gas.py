@@ -274,7 +274,15 @@ class ExactEngine(SearchSpace):
         delta = self.scale * (self._levels - t) / den
         # round, not floor: f stays in [-1/2, 1/2], where sin(pi f) keeps its precision.
         whole = np.round(delta)
-        fracs, row = np.unique(delta - whole, return_inverse=True)
+        frac = delta - whole
+        # At f = 0 the kernel row is the indicator of j = 0 (mod M), so the
+        # window (b, b + M/2] holds it exactly when b < 0: the register check
+        # keeps b in [-M/2, M/2).  Rows are built only for the other parts.
+        weights = (whole < 0).astype(np.float64)
+        inexact = frac != 0.0
+        if not inexact.any():
+            return weights
+        fracs, row = np.unique(frac[inexact], return_inverse=True)
         rows = 1 << self.width
         if fracs.size * rows > EMULATION_SPACE_CAP:
             raise SpaceScaleError(
@@ -282,24 +290,19 @@ class ExactEngine(SearchSpace):
             )
         # |a(f + j)|^2 at j = 1..M, with each j taken mod M into (-M/2, M/2]
         # so that sin(pi d / M) keeps its relative precision; sin(pi d) is
-        # +-sin(pi f), which is exactly 0 at f = 0, where the row is the
-        # indicator of j = 0 (mod M).
+        # +-sin(pi f), and d = f + j is never 0.
         half = rows // 2
         offsets = np.arange(1, rows + 1)
         offsets[half:] -= rows
         d = fracs[:, np.newaxis] + offsets
-        kernel = np.ones_like(d)
-        np.divide(
-            np.sin(np.pi * fracs)[:, np.newaxis], rows * np.sin(np.pi / rows * d),
-            out=kernel, where=d != 0,
-        )
-        kernel **= 2
+        kernel = (np.sin(np.pi * fracs)[:, np.newaxis] / (rows * np.sin(np.pi / rows * d))) ** 2
         # w(b + f) sums the row over j = b+1 .. b+M/2 (mod M): a circular
         # window starting at column b mod M.
         circle = np.concatenate([np.zeros((fracs.size, 1)), kernel, kernel[:, :half]], axis=1)
         prefix = np.cumsum(circle, axis=1)
-        start = whole.astype(np.int64) % rows
-        return prefix[row, start + half] - prefix[row, start]
+        start = whole[inexact].astype(np.int64) % rows
+        weights[inexact] = prefix[row, start + half] - prefix[row, start]
+        return weights
 
     def _split(self, threshold: float) -> tuple[float, np.ndarray, np.ndarray]:
         """sin^2(theta), each level's per-state weights (1 - w, w), and the

@@ -4,16 +4,33 @@ Amplitudes are indexed little-endian: basis state i has qubit q at bit q of
 i, matching the circuit module's conventions.  The register is capped at 26
 qubits (a 1 GiB amplitude array); anything larger belongs to the emulated
 search backend, not to exact simulation.
+
+Gates are applied in runs, one kernel per gate class.  A preparation circuit
+is nearly all diagonal phase gates, and a run of them is a phase polynomial
+over its qubits: the run costs one subset-sum table over its support and one
+multiply of the state, instead of one strided pass per gate.  A run of x
+gates is one flip of the state; Hadamards act in place.  No kernel holds more
+than 1.5 states of temporary memory (see ``StateVector.apply_all``).
 """
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 import numpy as np
 
 from .circuits import Circuit, Gate
+from .polynomials import MultilinearPolynomial
 
 MAX_QUBITS = 26
+
+
+_DIAGONAL = frozenset({"z", "phase", "rz", "cphase", "crz"})
+
+
+def _run_class(gate: Gate) -> str:
+    """Gates of one class next to each other form one run for `apply_all`."""
+    return "diagonal" if gate.kind in _DIAGONAL else gate.kind
 
 
 class RegisterScaleError(ValueError):
@@ -49,10 +66,12 @@ class StateVector:
         return self.amplitudes.reshape([2] * self.num_qubits)
 
     def _slices(self, assignment: dict[int, int]) -> tuple:
+        """Index of the block where each assigned qubit has its bit; it selects
+        a view, 0-d when every qubit is assigned."""
         sel: list = [slice(None)] * self.num_qubits
         for qubit, bit in assignment.items():
             sel[self.num_qubits - 1 - qubit] = bit
-        return tuple(sel)
+        return (*sel, Ellipsis)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
@@ -66,77 +85,139 @@ class StateVector:
     # -- gate application ------------------------------------------------------
 
     def apply(self, gate: Gate) -> "StateVector":
-        if any(q >= self.num_qubits for q in gate.qubits):
-            raise IndexError(f"gate {gate} outside {self.num_qubits}-qubit register")
-        view = self._view()
-        kind = gate.kind
-        if kind == "h":
-            (q,) = gate.qubits
-            a0 = view[self._slices({q: 0})].copy()
-            a1 = view[self._slices({q: 1})].copy()
-            inv = 1.0 / math.sqrt(2.0)
-            view[self._slices({q: 0})] = (a0 + a1) * inv
-            view[self._slices({q: 1})] = (a0 - a1) * inv
-        elif kind == "x":
-            (q,) = gate.qubits
-            lo, hi = self._slices({q: 0}), self._slices({q: 1})
-            a0 = view[lo].copy()
-            view[lo] = view[hi]
-            view[hi] = a0
-        elif kind == "z":
-            (q,) = gate.qubits
-            view[self._slices({q: 1})] *= -1.0
-        elif kind == "phase":
-            (q,) = gate.qubits
-            view[self._slices({q: 1})] *= np.exp(1j * gate.angle)
-        elif kind == "rz":
-            (q,) = gate.qubits
-            view[self._slices({q: 0})] *= np.exp(-0.5j * gate.angle)
-            view[self._slices({q: 1})] *= np.exp(0.5j * gate.angle)
-        elif kind == "ry":
-            self._rotate_y(view, {}, gate.qubits[0], gate.angle)
-        elif kind == "swap":
-            qa, qb = gate.qubits
-            lo = self._slices({qa: 0, qb: 1})
-            hi = self._slices({qa: 1, qb: 0})
-            tmp = view[lo].copy()
-            view[lo] = view[hi]
-            view[hi] = tmp
-        elif kind == "cnot":
-            control, target = gate.qubits
-            lo = self._slices({control: 1, target: 0})
-            hi = self._slices({control: 1, target: 1})
-            tmp = view[lo].copy()
-            view[lo] = view[hi]
-            view[hi] = tmp
-        elif kind == "cphase":
-            sel = self._slices({q: 1 for q in gate.qubits})
-            view[sel] *= np.exp(1j * gate.angle)
-        elif kind == "crz":
-            on = {q: 1 for q in gate.controls}
-            view[self._slices({**on, gate.target: 0})] *= np.exp(-0.5j * gate.angle)
-            view[self._slices({**on, gate.target: 1})] *= np.exp(0.5j * gate.angle)
-        elif kind == "cry":
-            self._rotate_y(view, {q: 1 for q in gate.controls}, gate.target, gate.angle)
-        else:  # pragma: no cover - Gate constructor rejects unknown kinds
-            raise ValueError(f"unsupported gate kind {kind!r}")
-        return self
-
-    def _rotate_y(self, view: np.ndarray, controls: dict[int, int], target: int, angle: float) -> None:
-        lo = self._slices({**controls, target: 0})
-        hi = self._slices({**controls, target: 1})
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        a0 = view[lo].copy()
-        a1 = view[hi].copy()
-        view[lo] = c * a0 - s * a1
-        view[hi] = s * a0 + c * a1
+        return self.apply_all((gate,))
 
     def apply_all(self, gates, validate: bool = False) -> "StateVector":
+        """Apply `gates` in order, one maximal run of same-class gates at a time.
+
+        Every gate's qubits are checked against the register before any gate
+        is applied, so an IndexError leaves the amplitudes as they were.
+
+        A run of consecutive diagonal gates (z, phase, rz, cphase, crz) is
+        one phase polynomial over the run's support: phase and cphase add
+        a*prod(b), z adds pi*b, and rz and crz add a*prod(controls)*(b_t - 1/2).
+        Its table over the support comes from one subset-sum transform
+        (``MultilinearPolynomial.evaluate_table``), and the state is
+        multiplied once by cos + i sin of it, broadcast over the other
+        qubits.  A run of x gates is one flip over the axes of the qubits
+        flipped an odd number of times.  Hadamards and ry/cry rotate the two
+        halves of their target in place; swap and cnot exchange two quarters.
+
+        Temporary memory stays within 1.5 states: a diagonal run over every
+        qubit holds its float table and complex factor (24 bytes per
+        amplitude), a flip one copy of the state, an ry one state, and the
+        other kernels at most half of one.
+
+        With ``validate`` every gate is applied as a run of one and the norm
+        is checked after it.
+        """
+        gates = tuple(gates)
+        n = self.num_qubits
         for gate in gates:
-            self.apply(gate)
+            if not all(0 <= q < n for q in gate.qubits):
+                raise IndexError(f"gate {gate} outside {n}-qubit register")
+        if validate:
+            runs = ((_run_class(gate), (gate,)) for gate in gates)
+        else:
+            runs = ((cls, tuple(run)) for cls, run in groupby(gates, key=_run_class))
+        for cls, run in runs:
+            if cls == "diagonal":
+                self._apply_phases(run)
+            elif cls == "x":
+                self._apply_flips(run)
+            else:
+                kernel = self._GATE_KERNELS[cls]
+                for gate in run:
+                    kernel(self, gate)
             if validate and abs(self.norm() - 1.0) > 1e-9:
-                raise AssertionError(f"norm drifted after {gate}")
+                raise AssertionError(f"norm drifted after {run[0]}")
         return self
+
+    def _apply_phases(self, run: tuple[Gate, ...]) -> None:
+        support = sorted({q for gate in run for q in gate.qubits})
+        var = {q: i for i, q in enumerate(support)}
+        terms: dict[tuple[int, ...], float] = {}
+        for gate in run:
+            bits = tuple(var[q] for q in gate.qubits)
+            angle = math.pi if gate.kind == "z" else gate.angle
+            if gate.kind in ("rz", "crz"):
+                terms[bits[:-1]] = terms.get(bits[:-1], 0.0) - 0.5 * angle
+            terms[bits] = terms.get(bits, 0.0) + angle
+        table = MultilinearPolynomial(len(support), terms).evaluate_table()
+        factor = np.empty(table.size, dtype=np.complex128)
+        np.cos(table, out=factor.real)
+        np.sin(table, out=factor.imag)
+        del table
+        # Table axes follow the support's qubits from the top, like the
+        # state's; adjacent axes that are both in or both out are merged.
+        inside = set(support)
+        state_shape: list[int] = []
+        factor_shape: list[int] = []
+        last = None
+        for q in reversed(range(self.num_qubits)):
+            on = q in inside
+            if on == last:
+                state_shape[-1] *= 2
+                factor_shape[-1] *= 2 if on else 1
+            else:
+                state_shape.append(2)
+                factor_shape.append(2 if on else 1)
+            last = on
+        view = self.amplitudes.reshape(state_shape)
+        view *= factor.reshape(factor_shape)
+
+    def _apply_flips(self, run: tuple[Gate, ...]) -> None:
+        flipped: set[int] = set()
+        for gate in run:
+            flipped ^= set(gate.qubits)
+        if flipped:
+            view = self._view()
+            view[...] = np.flip(view, axis=tuple(self.num_qubits - 1 - q for q in flipped)).copy()
+
+    def _apply_hadamard(self, gate: Gate) -> None:
+        (q,) = gate.qubits
+        pair = self.amplitudes.reshape(-1, 2, 1 << q)
+        a, b = pair[:, 0], pair[:, 1]
+        s = 1.0 / math.sqrt(2.0)
+        a += b  # a + b
+        a *= s  # (a + b) s
+        b *= -2.0 * s  # -2 b s
+        b += a  # (a - b) s
+
+    def _apply_rotation(self, gate: Gate) -> None:
+        """ry and cry: [[c, -s], [s, c]] on the target's halves under the controls."""
+        view = self._view()
+        on = {q: 1 for q in gate.controls}
+        a = view[self._slices({**on, gate.target: 0})]
+        b = view[self._slices({**on, gate.target: 1})]
+        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+        sb = b * s
+        b *= c
+        b += a * s  # s a + c b
+        a *= c
+        a -= sb  # c a - s b
+
+    def _apply_exchange(self, gate: Gate) -> None:
+        """swap and cnot: exchange two quarters of the state."""
+        if gate.kind == "swap":
+            qa, qb = gate.qubits
+            lo, hi = {qa: 0, qb: 1}, {qa: 1, qb: 0}
+        else:
+            control, target = gate.qubits
+            lo, hi = {control: 1, target: 0}, {control: 1, target: 1}
+        view = self._view()
+        lo, hi = view[self._slices(lo)], view[self._slices(hi)]
+        saved = lo.copy()
+        lo[...] = hi
+        hi[...] = saved
+
+    _GATE_KERNELS = {
+        "h": _apply_hadamard,
+        "ry": _apply_rotation,
+        "cry": _apply_rotation,
+        "swap": _apply_exchange,
+        "cnot": _apply_exchange,
+    }
 
     # -- measurement -----------------------------------------------------------
 

@@ -63,6 +63,17 @@ class TestSingleGates:
     def test_gate_out_of_range(self):
         with pytest.raises(IndexError):
             StateVector(1).apply(Gate("h", (4,)))
+        with pytest.raises(IndexError):
+            StateVector(2).apply(Gate("h", (-1,)))
+        # A bad gate inside a diagonal run, or behind valid gates, is refused
+        # before any gate of the batch touches the state.
+        sv = StateVector(3).apply_all([Gate("h", (q,)) for q in range(3)])
+        before = sv.amplitudes.copy()
+        for bad in (Gate("cphase", (0, 3), 0.4), Gate("x", (-1,)), Gate("crz", (-2, 1), 0.3)):
+            batch = [Gate("phase", (0,), 0.7), bad, Gate("z", (1,)), Gate("h", (2,))]
+            with pytest.raises(IndexError):
+                sv.apply_all(batch)
+            np.testing.assert_array_equal(sv.amplitudes, before)
 
 
 class TestNormAndUnitarity:
@@ -81,6 +92,120 @@ class TestNormAndUnitarity:
     def test_validate_flag_checks_every_gate(self):
         circuit = build_dicke(6, 3)
         StateVector(6).apply_all(circuit.gates, validate=True)
+
+
+def _operator(num_qubits: int, factors: dict) -> np.ndarray:
+    """Kronecker product of 2x2 factors, the identity on unlisted qubits (top qubit first)."""
+    out = np.ones((1, 1), dtype=complex)
+    for q in reversed(range(num_qubits)):
+        out = np.kron(out, factors.get(q, np.eye(2)))
+    return out
+
+
+_ONE = np.diag([0.0, 1.0])
+
+
+def _single_qubit_matrix(kind: str, angle: float | None) -> np.ndarray:
+    if kind == "h":
+        return np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    if kind in ("x", "cnot"):
+        return np.array([[0, 1], [1, 0]])
+    if kind == "z":
+        return np.diag([1, -1])
+    if kind in ("phase", "cphase"):
+        return np.diag([1, np.exp(1j * angle)])
+    if kind in ("rz", "crz"):
+        return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
+    c, s = math.cos(angle / 2), math.sin(angle / 2)  # ry, cry
+    return np.array([[c, -s], [s, c]])
+
+
+def _reference_unitary(num_qubits: int, gate: Gate) -> np.ndarray:
+    """The gate's full unitary, built from Kronecker products alone."""
+    if gate.kind == "swap":
+        qa, qb = gate.qubits
+        units = [np.outer(np.eye(2)[i], np.eye(2)[j]) for i in range(2) for j in range(2)]
+        return sum(
+            _operator(num_qubits, {qa: units[2 * i + j], qb: units[2 * j + i]})
+            for i in range(2) for j in range(2)
+        )
+    u = _single_qubit_matrix(gate.kind, gate.angle)
+    factors = {q: _ONE for q in gate.controls}
+    factors[gate.target] = u - np.eye(2)
+    return np.eye(1 << num_qubits) + _operator(num_qubits, factors)
+
+
+def _random_circuit(rng: np.random.Generator, num_qubits: int) -> list[Gate]:
+    """Segments of diagonal runs, x runs and the remaining kinds, in random order."""
+    def qubits(count):
+        return tuple(int(q) for q in rng.permutation(num_qubits)[:count])
+
+    def angle():
+        return float(rng.uniform(-math.pi, math.pi))
+
+    def diagonal_gate():
+        kind = ("z", "phase", "rz", "cphase", "crz")[rng.integers(5)]
+        if kind in ("cphase", "crz"):
+            return Gate(kind, qubits(int(rng.integers(1, num_qubits + 1))), angle())
+        return Gate(kind, qubits(1), None if kind == "z" else angle())
+
+    gates: list[Gate] = []
+    for _ in range(int(rng.integers(4, 10))):
+        segment = int(rng.integers(4))
+        if segment == 0:  # a diagonal run, sometimes ending on an all-qubit cphase
+            gates.extend(diagonal_gate() for _ in range(int(rng.integers(1, 8))))
+            if rng.random() < 0.3:
+                gates.append(Gate("cphase", qubits(num_qubits), angle()))
+        elif segment == 1:  # an x run; qubits may repeat
+            gates.extend(Gate("x", qubits(1)) for _ in range(int(rng.integers(1, 6))))
+        else:
+            kinds = ["h", "ry", "cry"] + (["swap", "cnot"] if num_qubits > 1 else [])
+            kind = kinds[rng.integers(len(kinds))]
+            if kind == "h":
+                gates.append(Gate("h", qubits(1)))
+            elif kind in ("swap", "cnot"):
+                gates.append(Gate(kind, qubits(2)))
+            else:
+                size = 1 if kind == "ry" else int(rng.integers(1, num_qubits + 1))
+                gates.append(Gate(kind, qubits(size), angle()))
+    return gates
+
+
+class TestAgainstKroneckerReference:
+    def _check(self, num_qubits: int, gates: list[Gate], rng: np.random.Generator) -> None:
+        amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+        amps /= np.linalg.norm(amps)
+        expected = amps.copy()
+        for gate in gates:
+            expected = _reference_unitary(num_qubits, gate) @ expected
+        fused = StateVector(num_qubits, amps).apply_all(gates)
+        np.testing.assert_allclose(fused.amplitudes, expected, rtol=0, atol=1e-12)
+        single = StateVector(num_qubits, amps).apply_all(gates, validate=True)
+        np.testing.assert_allclose(single.amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_random_circuits_match_kronecker_products(self):
+        rng = np.random.default_rng(2024)
+        kinds: set[str] = set()
+        for trial in range(120):
+            num_qubits = 1 + trial % 6
+            gates = _random_circuit(rng, num_qubits)
+            kinds.update(g.kind for g in gates)
+            self._check(num_qubits, gates, rng)
+        assert kinds == {"h", "x", "z", "swap", "cnot", "phase", "rz", "ry", "cry", "cphase", "crz"}
+
+    def test_back_to_back_diagonal_runs_and_repeated_x(self):
+        rng = np.random.default_rng(7)
+        gates = [
+            Gate("h", (0,)), Gate("h", (1,)), Gate("h", (2,)), Gate("h", (3,)),
+            Gate("crz", (0, 2, 3), 0.9), Gate("rz", (1,), -1.3), Gate("cphase", (3, 1), 2.2),
+            Gate("z", (0,)), Gate("crz", (3, 0), -0.4), Gate("phase", (2,), 0.6),
+            Gate("cphase", (0, 1, 2, 3), math.pi),
+            Gate("x", (1,)), Gate("x", (3,)), Gate("x", (1,)), Gate("x", (0,)),
+            Gate("rz", (2,), 0.8), Gate("crz", (1, 2), 1.7), Gate("cphase", (0, 1, 2, 3), -0.5),
+            Gate("h", (2,)),
+            Gate("crz", (0, 1, 3, 2), 2.9), Gate("z", (3,)),
+        ]
+        self._check(4, gates, rng)
 
 
 class TestMeasurement:
@@ -133,6 +258,24 @@ class TestScaleCap:
 
 
 class TestGroverStepDistribution:
+    @pytest.mark.slow
+    def test_power_of_two_case_matches_exact_engine(self):
+        """hubo-hw at N=4 (23 qubits at the default scale): prep plus one Grover
+        step on the statevector gives the exact engine's marginal."""
+        from qapgas.circuits import build_grover_operator
+        from qapgas.gas import ExactEngine
+
+        form = encode_hubo_hw(random_instance(4, 1))
+        engine = ExactEngine(form)
+        threshold = float(engine.sorted_values[engine.size // 2])
+        prep = build_state_prep(form, engine.width, threshold=threshold, scale=engine.scale)
+        assert prep.num_qubits == 23
+        sv = StateVector(prep.num_qubits).apply_all(prep.gates)
+        sv.apply_all(build_grover_operator(prep).gates)
+        simulated = sv.marginal(range(form.num_vars))
+        expected = engine.variable_distribution(threshold, 1)
+        np.testing.assert_allclose(simulated, expected, rtol=0, atol=1e-9)
+
     @pytest.mark.slow
     def test_hubo_step_matches_analytic_probabilities(self):
         """Sampling one amplified step reproduces the rotation formula within 3 sigma."""
