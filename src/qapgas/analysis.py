@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .circuits import width_for_range
+from .circuits import ladder_cnots, width_for_range
 from .encodings import build_code_table, num_code_bits, search_space_sizes
 
 QUBO_KINDS = ("qubo-h", "qubo-d")
@@ -186,20 +186,11 @@ class CnotTotal:
 
 
 def cnot_total(n: int, kind: str, model: str, m_value: int | None = None) -> CnotTotal:
-    """Modeled CNOT count of the preparation's term gates.
-
-    Model "rz": a k-controlled phase ladder costs 2m + 2(k-1) CNOTs.  Model
-    "r": each of the m k-controlled rotations costs 2^k CNOTs.
-    """
-    if model not in ("r", "rz"):
-        raise ValueError(f"unknown cost model {model!r}")
+    """Modeled CNOT count of the preparation's term gates, priced by ladder_cnots."""
     if m_value is None:
         m_value = register_widths(n, kind)[1]
     hist = qubo_rotation_histogram(n) if kind in QUBO_KINDS else hubo_rotation_histogram(n)
-    if model == "rz":
-        total = sum((2 * m_value + 2 * (k - 1)) * t for k, t in hist.items())
-    else:
-        total = sum((1 << k) * m_value * t for k, t in hist.items())
+    total = ladder_cnots(hist, m_value, model)
     closed: int | None = None
     if model == "rz":
         if kind in QUBO_KINDS:

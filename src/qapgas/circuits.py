@@ -38,6 +38,10 @@ _CONTROLLED = frozenset({"cnot", "cry", "cphase", "crz"})
 _PARAMETRIC = frozenset({"phase", "rz", "ry", "cry", "cphase", "crz"})
 
 
+# Largest number of states (or amplitudes) that is ever enumerated, tabulated or simulated.
+EMULATION_SPACE_CAP = 1 << 26
+
+
 class SpaceScaleError(ValueError):
     """Raised when a search space is too large to enumerate or simulate."""
 
@@ -499,12 +503,25 @@ class GateCounts:
     rotations_rz_model: int
 
 
+def ladder_cnots(terms_per_rank: dict[int, int], m: int, model: str) -> int:
+    """CNOTs of t_k phase ladders with k controls each over m value qubits.
+
+    Model "rz": a k-controlled ladder costs 2m + 2(k-1) CNOTs.  Model "r":
+    each of its m k-controlled rotations costs 2^k CNOTs.
+    """
+    if model == "rz":
+        return sum((2 * m + 2 * (k - 1)) * t for k, t in terms_per_rank.items())
+    if model == "r":
+        return sum((1 << k) * m * t for k, t in terms_per_rank.items())
+    raise ValueError(f"unknown cost model {model!r}")
+
+
 def count_gates(circuit: Circuit) -> GateCounts:
     """Tally a circuit and price its term gates under both cost models.
 
-    Model "rz": a k-controlled phase ladder over the m value qubits costs
-    2m + 2(k-1) CNOTs and m traceless rotations.  Model "r": every
-    k-controlled single-qubit rotation costs 2^k CNOTs and 2^k rotations.
+    CNOTs follow ladder_cnots.  Rotations: under model "rz" a ladder costs
+    m traceless rotations, under model "r" every k-controlled rotation costs
+    2^k of them.
     """
     n, m = circuit.num_vars, circuit.num_value
     kind_totals: dict[str, int] = {}
@@ -542,10 +559,10 @@ def count_gates(circuit: Circuit) -> GateCounts:
         for gate in circuit.gates
         if gate.kind in ("phase", "rz") and gate.qubits[0] >= n
     ) // max(m, 1)
-    cnot_rz = sum((2 * m + 2 * (k - 1)) * t for k, t in terms_per_rank.items())
-    cnot_r = sum((1 << k) * m * t for k, t in terms_per_rank.items())
+    cnot_rz = ladder_cnots(terms_per_rank, m, "rz")
+    cnot_r = ladder_cnots(terms_per_rank, m, "r")
     rot_rz = m * (sum(terms_per_rank.values()) + constant_terms)
-    rot_r = sum((1 << k) * m * t for k, t in terms_per_rank.items()) + m * constant_terms
+    rot_r = cnot_r + m * constant_terms
     return GateCounts(
         num_qubits=circuit.num_qubits,
         num_value=m,

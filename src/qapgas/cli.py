@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, gas as gas_mod
-from .circuits import build_state_prep, count_gates, value_register_width
+from .circuits import build_state_prep, count_gates, value_bounds, width_for_range
 from .encodings import FormulationKind, encode
 from .qap import brute_force_optimum, format_qaplib, parse_qaplib, random_instance
 from .sim import StateVector, signed_value
@@ -99,7 +99,16 @@ def cmd_gates(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     inst = _load_instance(args.infile)
     form = encode(inst, args.kind)
-    m = args.m or value_register_width(form)
+    # One fixed y: the register needs exactly the range of E(x) - y, not the
+    # |y|-widened one value_register_width sizes for the adaptive loop.
+    lo, hi = value_bounds(form)
+    need = width_for_range(lo - args.y, hi - args.y)
+    if args.m is not None and args.m < need:
+        sys.exit(
+            f"qap simulate: --m {args.m} cannot hold E(x) - y in [{lo - args.y:g}, "
+            f"{hi - args.y:g}]; it needs at least {need} value qubits"
+        )
+    m = need if args.m is None else args.m
     prep = build_state_prep(form, m, threshold=args.y)
     sv = StateVector(prep.num_qubits).apply_all(prep.gates)
     probs = sv.probabilities().reshape(1 << m, 1 << form.num_vars)

@@ -10,6 +10,10 @@ Three formulations are supported:
   variables using a code table ordered by descending Hamming weight, giving a
   higher-order objective with fewer terms.
 
+All three are one quadratic form in the per-row location indicators I_ij,
+built by ``_encode``: the QUBO kinds take I_ij = x_(i*N + j), hubo-hw takes
+the code indicator of ``assignment_indicator_poly`` in its place.
+
 Variable ordering is row-major: variable index = row * row_width + offset,
 where row_width is N for the QUBO encodings and B = ceil(log2 N) for hubo-hw.
 Encoder coefficients are exact Fractions so that term counting never depends
@@ -18,6 +22,7 @@ on floating-point cancellation.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,20 +69,12 @@ class CodeTable:
         return {code: j for j, code in enumerate(self.codes)}
 
 
-def _full_code_list(bits: int) -> list[tuple[int, ...]]:
-    codes = []
-    for value in range(1 << bits):
-        code = tuple((value >> (bits - 1 - r)) & 1 for r in range(bits))
-        codes.append(code)
-    codes.sort(key=lambda c: (-sum(c), -int("".join(map(str, c)), 2)))
-    return codes
-
-
 def build_code_table(n: int) -> CodeTable:
     if n < 2:
         raise ValueError(f"code table needs n >= 2, got {n}")
     bits = num_code_bits(n)
-    return CodeTable(n, bits, tuple(_full_code_list(bits)[:n]))
+    codes = sorted(itertools.product((0, 1), repeat=bits), key=lambda c: (sum(c), c), reverse=True)
+    return CodeTable(n, bits, tuple(codes[:n]))
 
 
 def assignment_indicator_poly(
@@ -190,18 +187,104 @@ def _fraction_matrix(mat: np.ndarray) -> list[list[Fraction]]:
     return [[Fraction(v).limit_denominator(10**6) for v in row] for row in mat]
 
 
-def _one_hot_penalty_terms(
-    acc: dict[tuple[int, ...], Fraction], variables: list[int], lam: Fraction
-) -> None:
-    """Accumulate lam * (sum(variables) - 1)^2 expanded with x^2 = x."""
-    acc[()] = acc.get((), Fraction(0)) + lam
-    for v in variables:
-        key = (v,)
-        acc[key] = acc.get(key, Fraction(0)) - lam
-    for a in range(len(variables)):
-        for b in range(a + 1, len(variables)):
-            key = tuple(sorted((variables[a], variables[b])))
-            acc[key] = acc.get(key, Fraction(0)) + 2 * lam
+def _transpose_product(x: list[list], y: list[list]) -> list[list]:
+    """x^T y for two matrices with the same rows, skipping zero entries."""
+    out = [[0] * len(y[0]) for _ in x[0]]
+    for x_row, y_row in zip(x, y):
+        for p, a in enumerate(x_row):
+            if a:
+                for q, b in enumerate(y_row):
+                    if b:
+                        out[p][q] += a * b
+    return out
+
+
+def _encode(
+    inst: QapInstance,
+    kind: FormulationKind,
+    basis: list[tuple[int, ...]],
+    amat: list[list],
+    width: int,
+    lam_row: float | None,
+    lam_col: float,
+    code_table: CodeTable | None = None,
+) -> Formulation:
+    """The QAP objective plus squared one-hot penalties over location indicators.
+
+    Row i owns variables i*width .. i*width + width - 1; x_S^(i) is the
+    product of row i's variables i*width + v for v in the local monomial S.
+    The indicator of "row i at location j" is I_ij = sum_S amat[j][S] x_S^(i).
+    With A = amat, C the distance matrix and s = 1^T A,
+
+        sum_ik f_ik sum_jl c_jl I_ij I_kl
+          + lr sum_i (sum_j I_ij - 1)^2 + lc sum_j (sum_i I_ij - 1)^2
+        = sum_ik sum_ST [f_ik A^T C A + lr delta_ik s s^T + lc A^T A]_ST x_S^(i) x_T^(k)
+          - 2 (lr + lc) sum_i sum_S s_S x_S^(i) + (lr + lc) N,
+
+    so three basis-sized matrices and one pass over row pairs give the whole
+    polynomial.  Without lam_row (the Dicke space, whose rows are one-hot by
+    construction) the row penalty is left out.
+    """
+    lams = (lam_col,) if lam_row is None else (lam_row, lam_col)
+    if min(lams) <= 0:
+        raise ValueError("penalty coefficients must be positive")
+    n = inst.size_n
+    flow = _fraction_matrix(inst.flow)
+    dist = _fraction_matrix(inst.dist)
+    lr = Fraction(0) if lam_row is None else Fraction(lam_row).limit_denominator(10**6)
+    lc = Fraction(lam_col).limit_denominator(10**6)
+    rows, cols = range(n), range(len(basis))
+    s = [sum(amat[j][p] for j in rows) for p in cols]
+    obj = _transpose_product(amat, _transpose_product(list(zip(*dist)), amat))  # A^T (C A)
+    gram = _transpose_product(amat, amat)
+
+    def nonzero(mat: list[list], weight: Fraction) -> list[tuple[int, int, Fraction]]:
+        return [(p, q, weight * v) for p, row in enumerate(mat) for q, v in enumerate(row) if v]
+
+    objective = nonzero(obj, 1)
+    row_pen = nonzero([[a * b for b in s] for a in s], lr) if lr else []
+    same_row_pen = row_pen + nonzero(gram, lc)
+    # x_S^(i) x_T^(k) and x_T^(k) x_S^(i) get the same column weight: A^T A is symmetric.
+    cross_row_pen = nonzero(gram, 2 * lc)
+    linear = [(p, -2 * (lr + lc) * v) for p, v in enumerate(s) if v]
+    unions = [[tuple(sorted(set(a) | set(b))) for b in basis] for a in basis]
+    keys = [[tuple(i * width + v for v in mono) for mono in basis] for i in rows]
+    acc: dict[tuple[int, ...], Fraction] = {(): (lr + lc) * n}
+
+    def add(key: tuple[int, ...], coeff: Fraction) -> None:
+        old = acc.get(key)
+        acc[key] = coeff if old is None else old + coeff
+
+    for i in rows:
+        row_keys, fii = keys[i], flow[i][i]
+        for p, v in linear:
+            add(row_keys[p], v)
+        same = [[tuple(i * width + v for v in u) for u in union_row] for union_row in unions]
+        for p, q, v in same_row_pen:
+            add(same[p][q], v)
+        if fii:
+            for p, q, v in objective:
+                add(same[p][q], fii * v)
+        for k in range(i + 1, n):
+            # Rows are ordered, disjoint blocks, so a cross-row key is a concatenation.
+            other_keys, fik, fki = keys[k], flow[i][k], flow[k][i]
+            for p, q, v in cross_row_pen:
+                add(row_keys[p] + other_keys[q], v)
+            if fik:
+                for p, q, v in objective:
+                    add(row_keys[p] + other_keys[q], fik * v)
+            if fki:  # the (k, i) term f_ki M_ST x_S^(k) x_T^(i)
+                for p, q, v in objective:
+                    add(row_keys[q] + other_keys[p], fki * v)
+
+    poly = MultilinearPolynomial(n * width, acc)
+    penalties = tuple(float(lam) for lam in lams)
+    return Formulation(kind, poly, n * width, n, penalties, inst, code_table=code_table)
+
+
+def _one_hot_basis(n: int) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
+    """The QUBO indicator I_ij is the variable x_(i*N + j) itself: A = identity, width N."""
+    return [(j,) for j in range(n)], [[int(j == p) for p in range(n)] for j in range(n)], n
 
 
 def encode_qubo(
@@ -211,138 +294,36 @@ def encode_qubo(
     n = inst.size_n
     lam_row = default_penalty(n) if lam_row is None else lam_row
     lam_col = default_penalty(n) if lam_col is None else lam_col
-    if lam_row <= 0 or lam_col <= 0:
-        raise ValueError("penalty coefficients must be positive")
-    acc = _qubo_objective_terms(inst)
-    lr = Fraction(lam_row).limit_denominator(10**6)
-    lc = Fraction(lam_col).limit_denominator(10**6)
-    for i in range(n):
-        _one_hot_penalty_terms(acc, [i * n + j for j in range(n)], lr)
-    for j in range(n):
-        _one_hot_penalty_terms(acc, [i * n + j for i in range(n)], lc)
-    poly = MultilinearPolynomial(n * n, acc)
-    return Formulation(
-        FormulationKind.QUBO_HADAMARD, poly, n * n, n, (float(lam_row), float(lam_col)), inst
-    )
+    return _encode(inst, FormulationKind.QUBO_HADAMARD, *_one_hot_basis(n), lam_row, lam_col)
 
 
 def encode_qubo_dicke(inst: QapInstance, lam_col: float | None = None) -> Formulation:
     """QUBO searched over row-wise weight-1 states; only the column penalty remains."""
     n = inst.size_n
     lam_col = default_penalty(n) if lam_col is None else lam_col
-    if lam_col <= 0:
-        raise ValueError("penalty coefficient must be positive")
-    acc = _qubo_objective_terms(inst)
-    lc = Fraction(lam_col).limit_denominator(10**6)
-    for j in range(n):
-        _one_hot_penalty_terms(acc, [i * n + j for i in range(n)], lc)
-    poly = MultilinearPolynomial(n * n, acc)
-    return Formulation(FormulationKind.QUBO_DICKE, poly, n * n, n, (float(lam_col),), inst)
-
-
-def _qubo_objective_terms(inst: QapInstance) -> dict[tuple[int, ...], Fraction]:
-    """Expansion of <F, X C X^T> over x = vec(X), with x^2 = x applied."""
-    n = inst.size_n
-    flow = _fraction_matrix(inst.flow)
-    dist = _fraction_matrix(inst.dist)
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for i in range(n):
-        for j in range(n):
-            fij = flow[i][j]
-            if fij == 0:
-                continue
-            for k in range(n):
-                for l in range(n):
-                    ckl = dist[k][l]
-                    if ckl == 0:
-                        continue
-                    va, vb = i * n + k, j * n + l
-                    key = (va,) if va == vb else tuple(sorted((va, vb)))
-                    acc[key] = acc.get(key, Fraction(0)) + fij * ckl
-    return {k: v for k, v in acc.items() if v != 0}
+    return _encode(inst, FormulationKind.QUBO_DICKE, *_one_hot_basis(n), None, lam_col)
 
 
 def encode_hubo_hw(
-    inst: QapInstance,
-    lam_row: float | None = None,
-    lam_col: float | None = None,
-    linear_row_penalty: bool = False,
+    inst: QapInstance, lam_row: float | None = None, lam_col: float | None = None
 ) -> Formulation:
     """Higher-order encoding over N*B variables via the descending-weight codes.
 
-    lam_row defaults to 1 (the row constraint is nearly built in; it only has
-    to discourage rows decoding to a discarded code), lam_col to N^2.  With
-    ``linear_row_penalty`` the row term instead sums the indicators of the
-    discarded codes directly; it is off by default because it enlarges the
-    expansion whenever N is not a power of two.
+    The QUBO's one-hot variable is replaced by the code indicator of
+    assignment_indicator_poly; the monomials of a row's B bits form the
+    basis.  lam_row defaults to 1 (the row constraint is nearly built in; it
+    only has to discourage rows decoding to a discarded code), lam_col to N^2.
     """
     n = inst.size_n
     lam_row = 1.0 if lam_row is None else lam_row
     lam_col = default_penalty(n) if lam_col is None else lam_col
-    if lam_row <= 0 or lam_col <= 0:
-        raise ValueError("penalty coefficients must be positive")
     table = build_code_table(n)
     bits = table.bits_b
-    num_vars = n * bits
-    indicators = [
-        [assignment_indicator_poly(table, i, j, num_vars) for j in range(n)] for i in range(n)
-    ]
-
-    flow = _fraction_matrix(inst.flow)
-    dist = _fraction_matrix(inst.dist)
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for i in range(n):
-        for k in range(n):
-            fik = flow[i][k]
-            if fik == 0:
-                continue
-            for j in range(n):
-                for l in range(n):
-                    cjl = dist[j][l]
-                    if cjl == 0:
-                        continue
-                    prod = indicators[i][j] * indicators[k][l]
-                    for key, coeff in prod.terms.items():
-                        acc[key] = acc.get(key, Fraction(0)) + fik * cjl * coeff
-
-    lr = Fraction(lam_row).limit_denominator(10**6)
-    lc = Fraction(lam_col).limit_denominator(10**6)
-    one = MultilinearPolynomial.constant(num_vars, Fraction(1))
-    if linear_row_penalty:
-        full = CodeTable(1 << bits, bits, tuple(_full_code_list(bits)))
-        for i in range(n):
-            for j in range(n, 1 << bits):
-                extra = assignment_indicator_poly(full, 0, j, num_vars)
-                for key, coeff in extra.terms.items():
-                    key = tuple(sorted(v + i * bits for v in key))
-                    acc[key] = acc.get(key, Fraction(0)) + lr * coeff
-    else:
-        for i in range(n):
-            row_sum = MultilinearPolynomial(num_vars)
-            for j in range(n):
-                row_sum = row_sum + indicators[i][j]
-            dev = row_sum - one
-            sq = dev * dev
-            for key, coeff in sq.terms.items():
-                acc[key] = acc.get(key, Fraction(0)) + lr * coeff
-    for j in range(n):
-        col_sum = MultilinearPolynomial(num_vars)
-        for i in range(n):
-            col_sum = col_sum + indicators[i][j]
-        dev = col_sum - one
-        sq = dev * dev
-        for key, coeff in sq.terms.items():
-            acc[key] = acc.get(key, Fraction(0)) + lc * coeff
-
-    poly = MultilinearPolynomial(num_vars, acc)
-    return Formulation(
-        FormulationKind.HUBO_HW,
-        poly,
-        num_vars,
-        n,
-        (float(lam_row), float(lam_col)),
-        inst,
-        code_table=table,
+    indicators = [assignment_indicator_poly(table, 0, j, bits).terms for j in range(n)]
+    basis = sorted({key for terms in indicators for key in terms}, key=lambda k: (len(k), k))
+    amat = [[terms.get(key, 0) for key in basis] for terms in indicators]
+    return _encode(
+        inst, FormulationKind.HUBO_HW, basis, amat, bits, lam_row, lam_col, code_table=table
     )
 
 

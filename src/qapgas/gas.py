@@ -39,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import (
+    EMULATION_SPACE_CAP,
     SpaceScaleError,
     dicke_rank_to_bits,
     objective_denominator,
@@ -47,7 +48,6 @@ from .circuits import (
 )
 from .encodings import Formulation, FormulationKind
 
-EMULATION_SPACE_CAP = 1 << 26
 GROWTH_FACTOR = 8.0 / 7.0
 # Iterations served by one rng.random call of a run; the stream is read in
 # order, so trajectories do not depend on this length.

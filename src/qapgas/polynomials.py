@@ -186,9 +186,11 @@ class MultilinearPolynomial:
         variable axis.  O(n * 2^n) numpy work instead of O(terms * 2^n).
         An integer dtype gives exact sums and refuses non-integer coefficients.
         """
+        from .circuits import EMULATION_SPACE_CAP, SpaceScaleError  # circuits imports this module
+
         n = self.num_vars
-        if n > 26:
-            raise ValueError(f"evaluate_table supports at most 26 variables, got {n}")
+        if 1 << n > EMULATION_SPACE_CAP:
+            raise SpaceScaleError(f"a table of 2^{n} values exceeds the cap {EMULATION_SPACE_CAP}")
         table = np.zeros(1 << n, dtype=dtype)
         exact = np.issubdtype(table.dtype, np.integer)
         for key, coeff in self.terms.items():

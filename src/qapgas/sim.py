@@ -1,9 +1,9 @@
 """Dense statevector simulator for small registers.
 
 Amplitudes are indexed little-endian: basis state i has qubit q at bit q of
-i, matching the circuit module's conventions.  The register is capped at 26
-qubits (a 1 GiB amplitude array); anything larger belongs to the emulated
-search backend, not to exact simulation.
+i, matching the circuit module's conventions.  The register is capped at
+EMULATION_SPACE_CAP amplitudes, 26 qubits (a 1 GiB amplitude array); anything
+larger belongs to the emulated search backend, not to exact simulation.
 
 Gates are applied in runs, one kernel per gate class.  A preparation circuit
 is nearly all diagonal phase gates, and a run of them is a phase polynomial
@@ -19,10 +19,10 @@ from itertools import groupby
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import EMULATION_SPACE_CAP, Circuit, Gate, SpaceScaleError
 from .polynomials import MultilinearPolynomial
 
-MAX_QUBITS = 26
+MAX_QUBITS = EMULATION_SPACE_CAP.bit_length() - 1
 
 
 _DIAGONAL = frozenset({"z", "phase", "rz", "cphase", "crz"})
@@ -31,10 +31,6 @@ _DIAGONAL = frozenset({"z", "phase", "rz", "cphase", "crz"})
 def _run_class(gate: Gate) -> str:
     """Gates of one class next to each other form one run for `apply_all`."""
     return "diagonal" if gate.kind in _DIAGONAL else gate.kind
-
-
-class RegisterScaleError(ValueError):
-    """Raised when a statevector register would exceed the dense-simulation cap."""
 
 
 class StateVector:
@@ -46,7 +42,7 @@ class StateVector:
         if num_qubits < 1:
             raise ValueError("need at least one qubit")
         if num_qubits > MAX_QUBITS:
-            raise RegisterScaleError(
+            raise SpaceScaleError(
                 f"{num_qubits} qubits exceeds the {MAX_QUBITS}-qubit statevector cap; "
                 "use the emulated search backend for larger spaces"
             )

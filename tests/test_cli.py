@@ -70,6 +70,23 @@ class TestSimulate:
         assert lines[0] == "x_bits,value_register,probability"
         assert len(lines) == 1 + 2**6
 
+    @pytest.fixture
+    def n2_file(self, tmp_path):
+        """random_instance(2, 1): qubo-d values E in {2, 8} on the Dicke support."""
+        path = tmp_path / "n2.dat"
+        main(["gen", "--n", "2", "--seed", "1", "--out", str(path)])
+        return path
+
+    def test_threshold_widens_the_register(self, n2_file, capsys):
+        """E - y = 18 needs 6 value qubits; sized without y, it wrapped to -14."""
+        main(["simulate", "--kind", "qubo-d", "--in", str(n2_file), "--y=-10"])
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        assert sorted(int(line.split(",")[1]) for line in lines) == [12, 12, 18, 18]
+
+    def test_explicit_register_too_narrow_for_threshold_exits(self, n2_file):
+        with pytest.raises(SystemExit, match="at least 6 value qubits"):
+            main(["simulate", "--kind", "qubo-d", "--in", str(n2_file), "--y=-10", "--m", "5"])
+
 
 class TestGasCommand:
     def test_runs_csv(self, instance_file, tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qapgas.encodings import (
@@ -15,7 +16,7 @@ from qapgas.encodings import (
     term_census,
 )
 from qapgas.polynomials import MultilinearPolynomial
-from qapgas.qap import Permutation, generic_instance, objective, random_instance
+from qapgas.qap import Permutation, QapInstance, generic_instance, objective, random_instance
 
 ALL_KINDS = tuple(FormulationKind)
 
@@ -207,20 +208,69 @@ class TestPenaltyStructure:
         with pytest.raises(ValueError):
             encode_hubo_hw(inst, lam_col=-1)
 
-    def test_linear_row_penalty_variant_matches_on_row_violations(self):
-        """The discarded-code sum penalizes exactly the rows that decode nowhere."""
-        inst = random_instance(3, seed=5)
-        quad = encode_hubo_hw(inst, lam_row=2.0)
-        lin = encode_hubo_hw(inst, lam_row=2.0, linear_row_penalty=True)
-        for x in range(1 << quad.num_vars):
-            diff = float(lin.poly.evaluate(x) - quad.poly.evaluate(x))
-            assert diff == pytest.approx(0.0, abs=1e-9)
 
-    def test_linear_row_penalty_has_no_more_terms_for_pow2(self):
-        inst = generic_instance(4, seed=5)
-        quad = encode_hubo_hw(inst)
-        lin = encode_hubo_hw(inst, linear_row_penalty=True)
-        assert lin.poly.term_count() == quad.poly.term_count()
+def asymmetric_instance(n, seed):
+    """Non-symmetric flows and distances with a nonzero diagonal, on a 0.001 grid."""
+    rng = np.random.default_rng(seed)
+    flow, dist = (rng.integers(1, 1001, size=(n, n)) / 1000.0 for _ in range(2))
+    return QapInstance(n, flow, dist)
+
+
+def location_indicators(form, x):
+    """I[i][j] = 1 when row i of bitmask x reads as location j (one-hot bit or code)."""
+    n, width = form.size_n, form.row_width
+    rows = [tuple((x >> (i * width + r)) & 1 for r in range(width)) for i in range(n)]
+    if form.code_table is None:
+        return [list(row) for row in rows]
+    return [[int(row == code) for code in form.code_table.codes] for row in rows]
+
+
+def frac(v):
+    """The exact coefficient the encoders take for a float entry or penalty."""
+    return Fraction(float(v)).limit_denominator(10**6)
+
+
+def defined_value(flow, dist, lam_row, lam_col, ind):
+    """sum f_ik c_jl I_ij I_kl plus both squared one-hot penalties, in Fractions."""
+    n = len(ind)
+    ones = [(i, j) for i in range(n) for j in range(n) if ind[i][j]]
+    value = sum(flow[i][k] * dist[j][l] for i, j in ones for k, l in ones)
+    if lam_row is not None:
+        value += lam_row * sum((sum(row) - 1) ** 2 for row in ind)
+    value += lam_col * sum((sum(row[j] for row in ind) - 1) ** 2 for j in range(n))
+    return value
+
+
+class TestEveryCoefficient:
+    """The encoded polynomial equals its definition on the whole hypercube.
+
+    A pseudo-Boolean function has exactly one multilinear form, so agreeing
+    on every state in exact arithmetic pins every coefficient.
+    """
+
+    CASES = [
+        ("qubo-h", n, pen) for n in (2, 3) for pen in ({}, {"lam_row": 2.5, "lam_col": 0.3})
+    ] + [
+        ("qubo-d", n, pen) for n in (2, 3) for pen in ({}, {"lam_col": 7.25})
+    ] + [
+        ("hubo-hw", n, pen) for n in (2, 3, 4) for pen in ({}, {"lam_row": 2.5, "lam_col": 0.3})
+    ]
+
+    @pytest.mark.parametrize("kind,n,penalties", CASES)
+    @pytest.mark.parametrize("make", [generic_instance, random_instance, asymmetric_instance])
+    def test_matches_definition_on_every_state(self, kind, n, penalties, make):
+        inst = make(n, 11 + n)
+        form = encode(inst, kind, **penalties)
+        defaults = {
+            "qubo-h": (n * n, n * n), "qubo-d": (None, n * n), "hubo-hw": (1, n * n)
+        }[kind]
+        lam_row = penalties.get("lam_row", defaults[0])
+        lam_row = None if lam_row is None else frac(lam_row)
+        lam_col = frac(penalties.get("lam_col", defaults[1]))
+        flow, dist = ([[frac(v) for v in row] for row in mat] for mat in (inst.flow, inst.dist))
+        for x in range(1 << form.num_vars):
+            ind = location_indicators(form, x)
+            assert form.poly.evaluate(x) == defined_value(flow, dist, lam_row, lam_col, ind), x
 
 
 def term_formula(n, kind):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qapgas.circuits import Gate, build_dicke, build_state_prep
+from qapgas.circuits import Gate, SpaceScaleError, build_dicke, build_state_prep
 from qapgas.encodings import encode_hubo_hw
 from qapgas.qap import random_instance
-from qapgas.sim import MAX_QUBITS, RegisterScaleError, StateVector, run_circuit
+from qapgas.sim import MAX_QUBITS, StateVector, run_circuit
 
 
 class TestSingleGates:
@@ -250,7 +250,7 @@ class TestMeasurement:
 
 class TestScaleCap:
     def test_rejects_oversized_register(self):
-        with pytest.raises(RegisterScaleError, match="emulated"):
+        with pytest.raises(SpaceScaleError, match="emulated"):
             StateVector(MAX_QUBITS + 1)
 
     def test_cap_is_26(self):
