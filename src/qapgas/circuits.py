@@ -196,39 +196,131 @@ def objective_denominator(form: Formulation) -> int:
     return den
 
 
+# objective_values folds the rows below the first R^h >= _FOLD_BLOCK into one block, so
+# every broadcast add over the table runs along contiguous inner runs at least this long:
+# numpy's in-place adds slow down on much shorter ones.
+_FOLD_BLOCK = 4096
+
+
 def objective_values(form: Formulation) -> np.ndarray:
     """int64 numerators of the objective on every state, over objective_denominator(form).
 
-    For the hypercube spaces the index is the variable bitmask itself; for
-    the Dicke-initialized space it ranks the row-wise location assignments in
-    mixed-radix order (row 0 least significant).  The sums are exact, so
+    Row i of a state has a digit d_i in [0, R): its local bit pattern on the
+    hypercube kinds (R = 2^row_width), its location on the Dicke-initialized
+    space (R = N); see row_digit_bits.  The table's index is sum_i d_i * R^i
+    (row 0 least significant): the variable bitmask itself on the hypercube,
+    the mixed-radix rank of the row-wise assignment on the Dicke space.
+    Every term must touch at most two row blocks, as every encoder's does, so
+
+        value(d) = c + sum_i T_i[d_i] + sum_{i<k} T_ik[d_i, d_k]
+
+    with per-row and row-pair tables read off form.poly at the denominator;
+    a term over three or more row blocks, or variables that do not split
+    into size_n equal row blocks, raise ValueError.  The sums are exact, so
     values / den is float(form.poly.evaluate(bits)) bit for bit.  Raises
-    SpaceScaleError, before enumerating, when a bitmask would not fit in int64.
+    SpaceScaleError, before enumerating, when the space exceeds
+    EMULATION_SPACE_CAP.
     """
-    if form.num_vars > 63:
-        raise SpaceScaleError(f"bitmasks of {form.num_vars} variables overflow int64")
-    den = objective_denominator(form)
-    if form.kind is not FormulationKind.QUBO_DICKE:
-        return form.poly.scaled(den).evaluate_table(np.int64)
-    masks = dicke_rank_to_bits(form, np.arange(form.space_size))
-    total = np.zeros(masks.size, dtype=np.int64)
+    size = form.space_size
+    if size > EMULATION_SPACE_CAP:
+        raise SpaceScaleError(f"space of {size} states exceeds the cap {EMULATION_SPACE_CAP}")
+    if form.num_vars != form.size_n * form.row_width:
+        raise ValueError(f"{form.num_vars} variables do not split into {form.size_n} row blocks")
+    tables = _row_tables(form, objective_denominator(form))
+    n, radix = tables.shape[1:3]
+    folded = next((h for h in range(n) if radix**h >= _FOLD_BLOCK), n)
+    table = np.zeros(size, dtype=np.int64)
+    filled = 1
+    for k in range(n):
+        # Grow the table by row k's axis, in place: new[d, rest] = old[rest] + inc[low] for
+        # each digit d of row k, where inc holds T_k[d] and the pair tables of the folded
+        # rows below k at d.
+        low = min(k, folded)
+        inc = np.empty(radix**low, dtype=np.int64)
+        block = table[:filled].reshape(-1, radix**low)
+        grown = table[: filled * radix].reshape(radix, -1, radix**low)
+        for d in range(radix - 1, -1, -1):  # digit 0 last: its block is the old table
+            inc[:] = tables[k, k, d, 0]
+            for i in range(low):
+                _add_pair(inc, tables[i, k, :, d : d + 1], i, low)
+            np.add(block, inc, out=grown[d])
+        for i in range(low, k):
+            _add_pair(grown, tables[i, k], i, k)
+        filled *= radix
+    return table
+
+
+def _add_pair(table: np.ndarray, pair: np.ndarray, i: int, k: int) -> None:
+    """Add pair[d_i, d_k] in place to a table over rows < k, led by row k's digits in pair."""
+    radix = pair.shape[0]
+    view = table.reshape(-1, radix ** (k - 1 - i), radix, radix**i)
+    view += pair.T[:, None, :, None]
+
+
+def _row_tables(form: Formulation, den: int) -> np.ndarray:
+    """den * the objective as row-pair tables T[i, k][d_i, d_k], shape (N, N, R, R), i <= k.
+
+    A term over rows i < k is seeded in T[i, k] at its two local masks.  A
+    term within row i is seeded in T[i, i] with the empty mask second, so
+    T[i, i][d, d'] = T_i[d] for every d'; T_0 also holds the constant.  One
+    0/1 matrix Z[d, m] = (m lies within row_digit_bits[d]) over the masks in
+    use turns the seeds S into the tables: T = Z S Z^T.
+    """
+    width = form.row_width
+    seeded: list[tuple[int, int, int, int, int]] = []
     for key, coeff in form.poly.terms.items():
-        term = sum(1 << v for v in key)
-        total += int(Fraction(coeff) * den) * ((masks & term) == term)
-    return total
+        masks: dict[int, int] = {}
+        for v in key:
+            row, bit = divmod(v, width)
+            masks[row] = masks.get(row, 0) | 1 << bit
+        if len(masks) > 2:
+            raise ValueError(f"term {key} spans {len(masks)} row blocks; at most two are tabulated")
+        (i, mask_i), *other = masks.items() or [(0, 0)]
+        k, mask_k = other[0] if other else (i, 0)
+        seeded.append((i, k, mask_i, mask_k, int(Fraction(coeff) * den)))
+    local = sorted({0}.union(*(term[2:4] for term in seeded)))
+    column = {m: u for u, m in enumerate(local)}
+    patterns = row_digit_bits(form).tolist()
+    zeta = np.array([[(p & m) == m for m in local] for p in patterns], dtype=np.int64)
+    seeds = np.zeros((form.size_n, form.size_n, len(local), len(local)), dtype=np.int64)
+    for i, k, mask_i, mask_k, num in seeded:
+        seeds[i, k, column[mask_i], column[mask_k]] = num
+    return zeta @ seeds @ zeta.T
+
+
+def row_digit_bits(form: Formulation) -> np.ndarray:
+    """uint64 local bit pattern of each value of a row's digit.
+
+    On the hypercube kinds a row's digit is its bit pattern (R = 2^row_width
+    values); on the Dicke space it is the row's location j, whose pattern is
+    the single bit j (R = N values).
+    """
+    if form.kind is FormulationKind.QUBO_DICKE:
+        return np.left_shift(np.uint64(1), np.arange(form.size_n, dtype=np.uint64))
+    return np.arange(1 << form.row_width, dtype=np.uint64)
 
 
 def dicke_rank_to_bits(form: Formulation, ranks) -> np.ndarray:
-    """int64 bitmasks of the rank-th row-wise assignments (scalar or array of ranks).
+    """uint64 bitmasks of the rank-th row-wise assignments (scalar or array of ranks).
 
-    Row i's location is the mixed-radix digit (rank // N^i) % N; it sets bit i*N + digit.
+    Row i's digit is the mixed-radix digit (rank // N^i) % N, as in
+    objective_values; its row_digit_bits pattern sits at bit i*N.  The low
+    and the high half of the rows are each looked up in one small table.
     """
     n = form.size_n
-    ranks = np.asarray(ranks, dtype=np.int64)
-    masks = np.zeros_like(ranks)
+    patterns = row_digit_bits(form)
+    tables = [np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64)]
+    split = n // 2
     for row in range(n):
-        masks |= np.left_shift(1, row * n + ranks // n**row % n, dtype=np.int64)
-    return masks
+        half = int(row >= split)
+        shifted = patterns << np.uint64(row * n)
+        tables[half] = (shifted[:, None] | tables[half]).ravel()  # row's digit most significant
+    ranks = np.asarray(ranks)
+    flat = ranks.reshape(-1)
+    high = flat // n**split
+    bits = tables[1][high]
+    bits |= tables[0][np.remainder(flat, n**split, out=high)]
+    return bits.reshape(ranks.shape)
 
 
 def value_register_width(form: Formulation, y_max_shift: float = 0.0) -> int:

@@ -9,9 +9,10 @@ improvement.
 
 Two interchangeable backends produce the per-iteration samples, and both
 stand on one index.  The search space is enumerated once as exact integer
-values at the objective's common denominator (the Dicke space by one
-vectorized pass over its N^N row-wise assignments) and indexed by one sort of
-packed (value, state) keys, keeping each state's bitmask (SearchSpace).
+values at the objective's common denominator, every kind from the same
+per-row and row-pair tables (circuits.objective_values), and indexed by one
+sort of packed (value, state) keys, keeping each state's bitmask
+(SearchSpace).
 
 * ``emulated`` -- classical amplification model: a sample is marked
   (objective strictly below the threshold) with the exact Grover probability
@@ -102,10 +103,11 @@ class SearchSpace:
         key <<= shift
         key |= np.arange(size, dtype=np.uint64)
         key.sort()
-        order = np.empty(size, dtype=np.int64 if form.num_vars > 31 else np.int32)
+        # Unsigned above 31 variables: a qubo-d mask at N=8 sets bit 63.
+        order = np.empty(size, dtype=np.uint64 if form.num_vars > 31 else np.int32)
         np.bitwise_and(key, (1 << shift) - 1, out=order, casting="unsafe")
         if form.kind is FormulationKind.QUBO_DICKE:
-            order = dicke_rank_to_bits(form, order).astype(order.dtype)
+            order = dicke_rank_to_bits(form, order).astype(order.dtype, copy=False)
         self.order = order
         key >>= shift
         levels = key.view(np.int64)

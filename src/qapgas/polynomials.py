@@ -8,8 +8,7 @@ polynomial is in multilinear normal form.
 
 Coefficients may be int, float, or Fraction.  The encoders use Fraction so
 that term counting is immune to floating-point dust; numeric consumers call
-float_terms()/evaluate_table() which convert once, or evaluate_table(np.int64)
-on a polynomial scaled to integer coefficients for exact values.
+float_terms()/evaluate_table() which convert once.
 """
 from __future__ import annotations
 
@@ -178,25 +177,21 @@ class MultilinearPolynomial:
                 total += coeff
         return total
 
-    def evaluate_table(self, dtype=np.float64) -> np.ndarray:
-        """Values on the whole hypercube, indexed by bitmask (variable v = bit v).
+    def evaluate_table(self) -> np.ndarray:
+        """float64 values on the whole hypercube, indexed by bitmask (variable v = bit v).
 
         Computed with an in-place subset-sum (zeta) transform: seed each
         monomial's coefficient at its own mask, then accumulate along every
         variable axis.  O(n * 2^n) numpy work instead of O(terms * 2^n).
-        An integer dtype gives exact sums and refuses non-integer coefficients.
         """
         from .circuits import EMULATION_SPACE_CAP, SpaceScaleError  # circuits imports this module
 
         n = self.num_vars
         if 1 << n > EMULATION_SPACE_CAP:
             raise SpaceScaleError(f"a table of 2^{n} values exceeds the cap {EMULATION_SPACE_CAP}")
-        table = np.zeros(1 << n, dtype=dtype)
-        exact = np.issubdtype(table.dtype, np.integer)
+        table = np.zeros(1 << n)
         for key, coeff in self.terms.items():
-            if exact and Fraction(coeff).denominator != 1:
-                raise ValueError(f"non-integer coefficient {coeff!r} in an integer table")
-            table[sum(1 << v for v in key)] += int(coeff) if exact else float(coeff)
+            table[sum(1 << v for v in key)] += float(coeff)
         view = table.reshape([2] * n) if n else table
         for axis in range(n):
             sel_hi: list = [slice(None)] * n

@@ -41,14 +41,15 @@ from qapgas.encodings import (
 from qapgas.gas import ExactEngine, SearchSpace
 from qapgas.polynomials import MultilinearPolynomial
 from qapgas.qap import QapInstance, dense_instance, generic_instance, random_instance
+from qapgas.samples import sample_instance
 from qapgas.sim import StateVector, readout_value, readout_vars
 
 
 def toy_formulation(poly: MultilinearPolynomial) -> Formulation:
-    """Wrap a bare polynomial for circuit tests (instance fields unused)."""
+    """Wrap a bare polynomial for circuit tests in one row block (instance fields unused)."""
     inst = QapInstance(2, np.zeros((2, 2)), np.zeros((2, 2)))
     return Formulation(
-        FormulationKind.QUBO_HADAMARD, poly, poly.num_vars, 2, (1.0, 1.0), inst
+        FormulationKind.QUBO_HADAMARD, poly, poly.num_vars, 1, (1.0, 1.0), inst
     )
 
 
@@ -424,15 +425,51 @@ class TestReadoutHelpers:
         assert readout_value(bits, circuit) == 3
 
 
-class TestDickeEnumeration:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+class TestObjectiveValues:
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("qubo-h", 2), ("qubo-h", 3)]
+        + [("qubo-d", n) for n in (2, 3, 4, 5)]
+        + [("hubo-hw", n) for n in (2, 3, 4)],
+    )
     @pytest.mark.parametrize("make", [random_instance, generic_instance, dense_instance])
-    def test_values_equal_exact_evaluation(self, make, n):
-        form = encode_qubo_dicke(make(n, seed=40 + n))
-        values = objective_values(form) / objective_denominator(form)
-        masks = dicke_rank_to_bits(form, np.arange(n**n))
-        assert values.tolist() == [float(form.poly.evaluate(int(b))) for b in masks]
+    def test_numerators_equal_exact_evaluation(self, make, kind, n):
+        form = encode(make(n, seed=40 + n), kind)
+        den = objective_denominator(form)
+        values = objective_values(form)
+        assert values.dtype == np.int64
+        states = np.arange(form.space_size)
+        if kind == "qubo-d":
+            states = dicke_rank_to_bits(form, states)
+        assert values.tolist() == [form.poly.evaluate(int(s)) * den for s in states]
 
+    @pytest.mark.parametrize("kind", list(FormulationKind))
+    def test_term_over_three_row_blocks_rejected(self, kind):
+        """Row tables hold terms of at most two rows; a wider term raises, never mis-evaluates."""
+        width = 2 if kind is FormulationKind.HUBO_HW else 3
+        poly = MultilinearPolynomial(3 * width, {(): 1, (0,): 2, (0, width, 2 * width): -3})
+        inst = QapInstance(3, np.zeros((3, 3)), np.zeros((3, 3)))
+        form = Formulation(kind, poly, 3 * width, 3, (1.0, 1.0), inst)
+        for compute in (objective_values, value_bounds, SearchSpace):
+            with pytest.raises(ValueError, match="spans 3 row blocks"):
+                compute(form)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("make", [random_instance, generic_instance, dense_instance])
+    def test_power_of_two_hubo_space_relabels_dicke_space(self, make, n):
+        """At N = 2^k every hubo-hw code is a location, so the row penalty vanishes and
+        the hubo-hw space holds exactly the qubo-d values.  Their query laws are then
+        identical: criterion 8's N=4 median ratio of 1 is a theorem, not a statistic."""
+        for seed in range(5):
+            inst = make(n, seed=seed)
+            assert_same_values(encode_qubo_dicke(inst), encode_hubo_hw(inst))
+
+    def test_power_of_two_hubo_space_relabels_dicke_space_at_n8(self):
+        inst = sample_instance(8)
+        assert_same_values(encode_qubo_dicke(inst), encode_hubo_hw(inst))
+
+
+class TestDickeEnumeration:
     def test_rank_to_bits_is_mixed_radix(self):
         n = 4
         form = encode_qubo_dicke(random_instance(n, seed=1))
@@ -442,7 +479,7 @@ class TestDickeEnumeration:
 
         ranks = np.arange(n**n)
         masks = dicke_rank_to_bits(form, ranks)
-        assert masks.dtype == np.int64
+        assert masks.dtype == np.uint64
         assert masks.tolist() == [reference(int(r)) for r in ranks]
         assert len(set(masks.tolist())) == n**n
         for rank in (0, 1, n, n**n - 1):
@@ -460,16 +497,15 @@ class TestDickeEnumeration:
             with pytest.raises(ValueError, match="common denominator"):
                 compute(form)
 
-    @pytest.mark.parametrize("make", [random_instance, generic_instance, dense_instance])
-    def test_hypercube_numerators_are_exact(self, make):
-        for kind in ("qubo-h", "hubo-hw"):
-            form = encode(make(3, seed=43), kind)
-            den = objective_denominator(form)
-            values = objective_values(form)
-            assert values.dtype == np.int64
-            assert values.tolist() == [
-                form.poly.evaluate(mask) * den for mask in range(form.space_size)
-            ]
+
+def assert_same_values(form: Formulation, other: Formulation) -> None:
+    """Same denominator and the same sorted numerators: the two spaces are relabellings."""
+    assert objective_denominator(form) == objective_denominator(other)
+    values = objective_values(form)
+    values.sort()
+    other_values = objective_values(other)
+    other_values.sort()
+    assert np.array_equal(values, other_values)
 
 
 def off_grid_instance() -> QapInstance:

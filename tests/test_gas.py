@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,7 +152,7 @@ class TestSearchSpace:
         inst = random_instance(7, seed=3)
         form = encode_qubo_dicke(inst)
         space = SearchSpace(form)
-        assert space.order.dtype == np.int64  # 49 variables
+        assert space.order.dtype == np.uint64  # 49 variables
         perm, value = brute_force_optimum(inst)
         bits, found = space.minimum()
         assert found == pytest.approx(value, abs=1e-9)
@@ -182,17 +181,16 @@ class TestSearchSpace:
         np.testing.assert_array_equal(space.order, ranks)
         assert space.sorted_values.tolist() == sorted(numerators / objective_denominator(form))
 
-    def test_dicke_space_at_n8_refused_before_enumeration(self):
-        """64 variables overflow an int64 bitmask: refused before 8^8 states are touched."""
+    def test_dicke_space_at_n8_finds_the_optimum(self):
+        """64 variables: ranks need no 64-bit mask, and masks with bit 63 set decode."""
         form = encode_qubo_dicke(sample_instance(8))
-        tracemalloc.start()
-        try:
-            for compute in (objective_values, SearchSpace):
-                with pytest.raises(SpaceScaleError, match="overflow int64"):
-                    compute(form)
-            assert tracemalloc.get_traced_memory()[1] < 1 << 20
-        finally:
-            tracemalloc.stop()
+        space = SearchSpace(form)
+        perm, _ = sample_optimum(8)
+        assert form.decode(space.minimum()[0]) == perm
+        top = int(space.order[space.order >= np.uint64(1 << 63)][0])  # row 8 at location 8
+        last = form.decode(top)
+        assert last.mapping[7] == 8
+        assert form.encode_permutation(last) == top
 
     def test_value_span_overflowing_the_key_rejected(self):
         # 12 state bits plus a span of 2^52 need 65 key bits.

@@ -103,20 +103,6 @@ class TestEvaluation:
         for mask in range(256):
             assert table[mask] == pytest.approx(float(p.evaluate(mask)), abs=1e-12)
 
-    def test_integer_table_is_exact(self):
-        p = MultilinearPolynomial(
-            3, {(): Fraction(7), (0,): 2**52, (0, 2): -(2**52) + 1, (1, 2): Fraction(-3)}
-        )
-        table = p.evaluate_table(np.int64)
-        assert table.dtype == np.int64
-        assert table.tolist() == [p.evaluate(mask) for mask in range(8)]
-
-    def test_integer_table_refuses_non_integer_coefficients(self):
-        for coeff in (Fraction(1, 3), 0.5):
-            p = MultilinearPolynomial(2, {(0,): 1, (0, 1): coeff})
-            with pytest.raises(ValueError, match="non-integer"):
-                p.evaluate_table(np.int64)
-
     def test_fraction_coefficients_stay_exact(self):
         p = MultilinearPolynomial(2, {(0,): Fraction(1, 3), (0, 1): Fraction(2, 3)})
         assert p.evaluate((1, 1)) == Fraction(1)
