@@ -53,11 +53,24 @@ GROWTH_FACTOR = 8.0 / 7.0
 # Iterations served by one rng.random call of a run; the stream is read in
 # order, so trajectories do not depend on this length.
 UNIFORM_BLOCK = 64
+# Entries per step of each pass of SearchSpace's build after objective_values;
+# the pass's temporaries are this many entries long.
+_INDEX_BLOCK = 1 << 16
+
+
+def _grover_angle(fraction: float) -> float:
+    """theta = asin(sqrt(fraction)): the prepared state's angle to the unmarked part."""
+    return math.asin(math.sqrt(fraction))
+
+
+def _rotated_probability(angle: float, rotations: int) -> float:
+    """Marked probability sin^2((2L+1) angle) after L = `rotations` steps."""
+    return math.sin((2 * rotations + 1) * angle) ** 2
 
 
 def amplified_probability(fraction: float, rotations: int) -> float:
     """Marked probability sin^2((2L+1) asin(sqrt(fraction))) after L = `rotations` steps."""
-    return math.sin((2 * rotations + 1) * math.asin(math.sqrt(fraction))) ** 2
+    return _rotated_probability(_grover_angle(fraction), rotations)
 
 
 def marked_probability(marked: int, size: int, rotations: int) -> float:
@@ -82,6 +95,12 @@ class SearchSpace:
     state's exact integer value (at objective_denominator) above its state
     index: equal values are bit-equal floats, ties keep state-index order,
     and the order is the same on every host.
+
+    Memory: the build holds the key buffer (8 bytes per state; it becomes
+    ``sorted_values``) and ``order`` (4 or 8 bytes per state) plus a few
+    blocks of temporaries.  Every pass after objective_values (packing the
+    keys, unpacking them into values and order, mapping Dicke ranks to
+    bitmasks) runs in place, _INDEX_BLOCK entries at a time.
     """
 
     def __init__(self, form: Formulation):
@@ -91,29 +110,39 @@ class SearchSpace:
                 f"search space of {size} states exceeds the enumeration cap {EMULATION_SPACE_CAP}"
             )
         self.size = size
-        key = objective_values(form)
+        levels = objective_values(form)
         self._den = den = objective_denominator(form)
-        lo = int(key.min())
-        span = int(key.max()) - lo
+        lo = int(levels.min())
+        span = int(levels.max()) - lo
         shift = (size - 1).bit_length()
         if span.bit_length() + shift > 64:
             raise SpaceScaleError(f"value span {span} and {shift} state bits overflow a 64-bit key")
-        key -= lo
-        key = key.view(np.uint64)
-        key <<= shift
-        key |= np.arange(size, dtype=np.uint64)
+        # One buffer, seen as int64 levels, uint64 keys and float64 values.
+        key = levels.view(np.uint64)
+        blocks = [slice(start, start + _INDEX_BLOCK) for start in range(0, size, _INDEX_BLOCK)]
+        state = np.arange(min(size, _INDEX_BLOCK), dtype=np.uint64)
+        for rows in blocks:  # key = (level - lo) << shift | state
+            levels[rows] -= lo
+            block = key[rows]
+            block <<= shift
+            block |= state[: block.size]
+            state += _INDEX_BLOCK
+        del state  # not held through the sort and the unpack
         key.sort()
         # Unsigned above 31 variables: a qubo-d mask at N=8 sets bit 63.
         order = np.empty(size, dtype=np.uint64 if form.num_vars > 31 else np.int32)
-        np.bitwise_and(key, (1 << shift) - 1, out=order, casting="unsafe")
-        if form.kind is FormulationKind.QUBO_DICKE:
-            order = dicke_rank_to_bits(form, order).astype(order.dtype, copy=False)
+        values = key.view(np.float64)
+        mask = (1 << shift) - 1
+        for rows in blocks:
+            np.bitwise_and(key[rows], mask, out=order[rows], casting="unsafe")
+            if form.kind is FormulationKind.QUBO_DICKE:
+                order[rows] = dicke_rank_to_bits(form, order[rows])
+            key[rows] >>= shift
+            levels[rows] += lo
+            np.divide(levels[rows], den, out=values[rows])
         self.order = order
-        key >>= shift
-        levels = key.view(np.int64)
-        levels += lo
-        self.sorted_values = np.divide(levels, den, out=levels.view(np.float64))
-        self._last_count = (math.nan, 0)
+        self.sorted_values = values
+        self._last_count = (math.nan, 0, 0.0)
 
     def count_below(self, threshold: float) -> int:
         """Number of states whose value is strictly below `threshold`."""
@@ -122,16 +151,17 @@ class SearchSpace:
     def _marked(self, threshold: float, rotations: int) -> tuple[int, float]:
         """Marked count t and the probability of the marked class (exactly 1 when t = size).
 
-        The count of the last threshold seen is cached: a GAS run keeps its
-        threshold until a sample improves on it.
+        The count and Grover angle of the last threshold seen are cached: a
+        GAS run keeps its threshold until a sample improves on it.
         """
-        last, t = self._last_count
+        last, t, angle = self._last_count
         if threshold != last:
             t = self.count_below(threshold)
-            self._last_count = (threshold, t)
+            angle = _grover_angle(t / self.size)
+            self._last_count = (threshold, t, angle)
         if t == self.size:
             return t, 1.0
-        return t, marked_probability(t, self.size, rotations)
+        return t, _rotated_probability(angle, rotations)
 
     def uniform_sample(self, rng: np.random.Generator) -> tuple[int, float]:
         rank = int(rng.integers(self.size))
@@ -306,9 +336,10 @@ class ExactEngine(SearchSpace):
         weights[inexact] = prefix[row, start + half] - prefix[row, start]
         return weights
 
-    def _split(self, threshold: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """sin^2(theta), each level's per-state weights (1 - w, w), and the
-        cumulative masses count*(1 - w) and count*w over the levels, from 0.
+    def _split(self, threshold: float) -> tuple[float, np.ndarray, np.ndarray, float]:
+        """sin^2(theta), each level's per-state weights (1 - w, w), the
+        cumulative masses count*(1 - w) and count*w over the levels, from 0,
+        and theta.
 
         The split of the last threshold seen is kept: a GAS run keeps its
         threshold until a sample improves on it.
@@ -319,14 +350,15 @@ class ExactEngine(SearchSpace):
         weights = self._level_weights(threshold)
         parts = np.stack([1.0 - weights, weights])
         cumulative = np.cumsum(np.pad(parts * self._counts, ((0, 0), (1, 0))), axis=1)
-        split = (float(cumulative[1, -1] / self.size), parts, cumulative)
+        marked_mass = float(cumulative[1, -1] / self.size)
+        split = (marked_mass, parts, cumulative, _grover_angle(marked_mass))
         self._last_split = (threshold, split)
         return split
 
     def variable_distribution(self, threshold: float, rotations: int) -> np.ndarray:
         """Distribution of the variable register after `rotations` Grover steps."""
-        marked_mass, parts, cumulative = self._split(threshold)
-        p = amplified_probability(marked_mass, rotations)
+        _, parts, cumulative, angle = self._split(threshold)
+        p = _rotated_probability(angle, rotations)
         masses = cumulative[:, -1:]
         marginals = parts / np.where(masses > 0.0, masses, 1.0)
         probs = np.zeros(1 << self.form.num_vars)
@@ -339,8 +371,8 @@ class ExactEngine(SearchSpace):
     def draw(self, threshold: float, rotations: int, u_branch: float, u_rank: float) -> tuple[int, float]:
         """`sample` driven by two uniforms on [0, 1): the branch, then its level by
         inverse CDF, and the rank within the level from the remainder of the target."""
-        marked_mass, parts, cumulative = self._split(threshold)
-        p = 1.0 if marked_mass == 1.0 else amplified_probability(marked_mass, rotations)
+        marked_mass, parts, cumulative, angle = self._split(threshold)
+        p = 1.0 if marked_mass == 1.0 else _rotated_probability(angle, rotations)
         branch = int(u_branch < p)
         masses = cumulative[branch]
         target = u_rank * masses[-1]

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qapgas.encodings import (
 from qapgas.gas import (
     EMULATION_SPACE_CAP,
     UNIFORM_BLOCK,
+    _INDEX_BLOCK,
     ExactEngine,
     GasConfig,
     KnownOptimum,
@@ -48,7 +50,7 @@ def dyadic_instance(n, seed):
 def assert_marks_exactly_the_levels_below(engine, y, count_below):
     """The split at `y` has weight exactly 1 on the levels below y and exactly 0 on
     the rest, and its marked mass is count_below / size with ==."""
-    marked_mass, (unmarked, marked), _ = engine._split(y)
+    marked_mass, (unmarked, marked), *_ = engine._split(y)
     assert marked_mass == count_below / engine.size
     below = engine.sorted_values[engine._starts] < y
     np.testing.assert_array_equal(marked, below)
@@ -180,6 +182,35 @@ class TestSearchSpace:
             ranks = dicke_rank_to_bits(form, ranks)
         np.testing.assert_array_equal(space.order, ranks)
         assert space.sorted_values.tolist() == sorted(numerators / objective_denominator(form))
+
+    # qubo-h N=4 is exactly one build block, hubo-hw N=6 several full blocks, qubo-d
+    # N=7 (823,543 states) ends on a partial block, and the N=3 spaces are under one.
+    @pytest.mark.parametrize(
+        "kind, n", [("qubo-h", 4), ("hubo-hw", 6), ("qubo-d", 7), ("qubo-d", 3), ("hubo-hw", 3)]
+    )
+    def test_blockwise_index_equals_lexsort_reference(self, kind, n):
+        form = encode(random_instance(n, seed=2), kind)
+        space = SearchSpace(form)
+        numerators = objective_values(form)
+        ranks = np.lexsort((np.arange(form.space_size), numerators))
+        order = dicke_rank_to_bits(form, ranks) if kind == "qubo-d" else ranks
+        assert space.order.dtype == (np.uint64 if form.num_vars > 31 else np.int32)
+        assert np.array_equal(space.order, order)
+        assert space.sorted_values.dtype == np.float64
+        assert np.array_equal(space.sorted_values, numerators[ranks] / objective_denominator(form))
+
+    @pytest.mark.parametrize("kind, n", [("hubo-hw", 6), ("qubo-d", 7)])
+    def test_build_peak_is_the_index_plus_a_few_blocks(self, kind, n):
+        """numpy reports its buffers to tracemalloc, so the traced peak covers the build's arrays."""
+        form = encode(random_instance(n, seed=2), kind)
+        tracemalloc.start()
+        try:
+            space = SearchSpace(form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = space.order.nbytes + space.sorted_values.nbytes
+        assert peak <= held + 4 * _INDEX_BLOCK * 8
 
     def test_dicke_space_at_n8_finds_the_optimum(self):
         """64 variables: ranks need no 64-bit mask, and masks with bit 63 set decode."""
