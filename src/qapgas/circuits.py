@@ -13,15 +13,27 @@ Register layout and conventions, fixed here and relied on everywhere:
   2^r * (2*pi*a / 2^m), reduced to [-pi, pi).  The inverse Fourier transform
   then turns the accumulated phases into the binary value of E(x) - y.
 
-Gates are plain records.  For controlled kinds (cphase, crz, cry, cnot) the
-last listed qubit is the target and the rest are controls; "phase" is the
-diagonal [[1, 0], [0, e^{i*theta}]] gate and "rz" its traceless twin.
+Gates are immutable (kind, qubits, angle) tuple records.  For controlled
+kinds (cphase, crz, cry, cnot) the last listed qubit is the target and the
+rest are controls; "phase" is the diagonal [[1, 0], [0, e^{i*theta}]] gate
+and "rz" its traceless twin.  h, x, z, ry, phase and rz act on exactly one
+qubit, swap and cnot on exactly two, and cry, cphase and crz on at least two.
+
+Validation happens where an invariant is introduced, once.  ``Gate(...)``
+checks kind, arity, distinct integer qubits and the angle.  The phase
+ladder checks each term's qubits once and emits its m gates without
+re-checking them, and the adjoint and Rz substitutions derive their gates
+from already checked ones.  ``Circuit`` checks that it holds Gate records
+and range-checks all their qubits with one min and one max.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,9 +43,13 @@ from .polynomials import MultilinearPolynomial
 
 TWO_PI = 2.0 * math.pi
 
-GATE_KINDS = frozenset(
-    {"h", "x", "z", "swap", "cnot", "phase", "rz", "ry", "cry", "cphase", "crz"}
-)
+# Number of qubits each kind acts on: (least, most), None for no upper limit.
+_ARITY: dict[str, tuple[int, int | None]] = {
+    **dict.fromkeys(("h", "x", "z", "ry", "phase", "rz"), (1, 1)),
+    **dict.fromkeys(("swap", "cnot"), (2, 2)),
+    **dict.fromkeys(("cry", "cphase", "crz"), (2, None)),
+}
+GATE_KINDS = frozenset(_ARITY)
 _CONTROLLED = frozenset({"cnot", "cry", "cphase", "crz"})
 _PARAMETRIC = frozenset({"phase", "rz", "ry", "cry", "cphase", "crz"})
 
@@ -46,31 +62,68 @@ class SpaceScaleError(ValueError):
     """Raised when a search space is too large to enumerate or simulate."""
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
+class Gate(tuple):
+    """One gate, the immutable tuple record (kind, qubits, angle).
 
-    def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate qubit in gate {self}")
-        if self.kind in _PARAMETRIC:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"gate {self.kind} needs a finite angle")
-        elif self.angle is not None:
-            raise ValueError(f"gate {self.kind} takes no angle")
+    The constructor is the one validating path: it raises ValueError for an
+    unknown kind, a qubit count the kind does not take, a repeated qubit, a
+    missing or non-finite angle on a parametric kind, or an angle on any
+    other kind.  Qubits are stored as a tuple of ints.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, qubits: Iterable[int], angle: float | None = None) -> "Gate":
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        qubits = tuple(int(q) for q in qubits)
+        least, most = _ARITY[kind]
+        if len(qubits) < least or (most is not None and len(qubits) > most):
+            takes = f"exactly {least}" if least == most else f"at least {least}"
+            raise ValueError(f"gate {kind} takes {takes} qubits, got {qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"duplicate qubit in gate {kind} {qubits}")
+        if kind in _PARAMETRIC:
+            if angle is None or not math.isfinite(angle):
+                raise ValueError(f"gate {kind} needs a finite angle")
+        elif angle is not None:
+            raise ValueError(f"gate {kind} takes no angle")
+        return tuple.__new__(cls, (kind, qubits, angle))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Gate(kind={self[0]!r}, qubits={self[1]!r}, angle={self[2]!r})"
+
+    kind = property(itemgetter(0))
+    qubits = property(itemgetter(1))
+    angle = property(itemgetter(2))
 
     @property
     def target(self) -> int:
-        return self.qubits[-1]
+        return self[1][-1]
 
     @property
     def controls(self) -> tuple[int, ...]:
-        return self.qubits[:-1] if self.kind in _CONTROLLED else ()
+        return self[1][:-1] if self[0] in _CONTROLLED else ()
+
+
+def gate_outside(gates: Sequence[Gate], num_qubits: int) -> Gate | None:
+    """First gate with a qubit outside [0, num_qubits), or None.
+
+    All qubits are checked with one min and one max over the flat list; the
+    gates are searched only when one is out of range.
+    """
+    flat = list(chain.from_iterable(map(itemgetter(1), gates)))
+    if flat and (min(flat) < 0 or max(flat) >= num_qubits):
+        return next(g for g in gates if min(g[1]) < 0 or max(g[1]) >= num_qubits)
+    return None
+
+
+# Builds a Gate without Gate.__new__'s checks: only for gates whose fields come
+# from checked gates or from a ladder term checked once (phase_polynomial_gates).
+_trusted = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -82,11 +135,13 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
-        nq = self.num_qubits
-        for gate in self.gates:
-            if any(q < 0 or q >= nq for q in gate.qubits):
-                raise ValueError(f"gate {gate} outside {nq}-qubit register")
+        gates = tuple(self.gates)
+        object.__setattr__(self, "gates", gates)
+        if not set(map(type, gates)) <= {Gate}:
+            raise TypeError("circuit gates must be Gate records")
+        bad = gate_outside(gates, self.num_qubits)
+        if bad is not None:
+            raise ValueError(f"gate {bad} outside {self.num_qubits}-qubit register")
 
     @property
     def num_qubits(self) -> int:
@@ -120,10 +175,8 @@ def invert_gates(gates: Sequence[Gate]) -> list[Gate]:
     """Adjoint of a gate list: reversed order, parametric angles negated."""
     out = []
     for gate in reversed(gates):
-        if gate.kind in _PARAMETRIC:
-            out.append(Gate(gate.kind, gate.qubits, -gate.angle))
-        else:
-            out.append(gate)
+        kind, qubits, angle = gate
+        out.append(gate if angle is None else _trusted(Gate, (kind, qubits, -angle)))
     return out
 
 
@@ -140,16 +193,12 @@ def substitute_rz(circuit: Circuit) -> Circuit:
     n = circuit.num_vars
     swapped = []
     for gate in circuit.gates:
-        if gate.kind == "phase":
-            swapped.append(Gate("rz", gate.qubits, gate.angle))
-        elif (
-            gate.kind == "cphase"
-            and gate.target >= n
-            and all(q < n for q in gate.controls)
-        ):
-            swapped.append(Gate("crz", gate.qubits, gate.angle))
-        else:
-            swapped.append(gate)
+        kind, qubits, angle = gate
+        if kind == "phase":
+            gate = _trusted(Gate, ("rz", qubits, angle))
+        elif kind == "cphase" and qubits[-1] >= n and max(qubits[:-1]) < n:
+            gate = _trusted(Gate, ("crz", qubits, angle))
+        swapped.append(gate)
     return Circuit(circuit.num_vars, circuit.num_value, swapped)
 
 
@@ -367,26 +416,48 @@ def phase_polynomial_gates(
 
     Emits m rotations per term, ordered constant first and then by ascending
     order and variable tuple, so the circuit layout mirrors the objective.
+    Each term's qubits are checked once (distinct, and its variables off
+    the value register), then its m gates are emitted without re-checking.
     """
+    value_qubits = tuple(int(q) for q in value_qubits)
     m = len(value_qubits)
-    gates: list[Gate] = []
-    terms = [(key, float(coeff)) for key, coeff in poly.terms.items()]
-    constant = shift + sum(c for key, c in terms if not key)
-    ordered = sorted((key for key, _ in terms if key), key=lambda k: (len(k), k))
+    value_set = set(value_qubits)
+    if len(value_set) != m:
+        raise ValueError(f"duplicate qubit in value register {value_qubits}")
     coeffs = dict(poly.float_terms())
-
-    def emit(controls: tuple[int, ...], a: float) -> None:
-        theta = TWO_PI * a / (1 << m)
-        for r in range(m):
-            angle = reduce_angle((1 << r) * theta)
-            kind = "cphase" if controls else "phase"
-            gates.append(Gate(kind, controls + (value_qubits[r],), angle))
-
+    constant = shift + coeffs.pop((), 0.0)
+    keys = sorted(coeffs, key=lambda k: (len(k), k))
+    values = [coeffs[key] for key in keys]
     if constant != 0.0:
-        emit((), constant)
-    for key in ordered:
-        emit(tuple(key), coeffs[key])
+        keys.insert(0, ())
+        values.insert(0, constant)
+    targets = [(q,) for q in value_qubits]
+    gates: list[Gate] = []
+    for controls, angles in zip(keys, _ladder_angles(values, m)):
+        if len(set(controls)) != len(controls) or not value_set.isdisjoint(controls):
+            raise ValueError(f"term {controls} repeats a qubit or overlaps the value register")
+        kind = "cphase" if controls else "phase"
+        records = zip(repeat(kind), map(controls.__add__, targets), angles)
+        gates += map(_trusted, repeat(Gate), records)
     return gates
+
+
+def _ladder_angles(coeffs: Sequence[float], m: int) -> list[list[float]]:
+    """Row a, column r: reduce_angle(2^r * (2*pi*a / 2^m)), bit for bit, in one numpy pass.
+
+    fmod is exact and so are the products by powers of two, so the numpy
+    ufuncs give the same floats as math.fmod in reduce_angle.  Raises
+    ValueError when an angle is not finite.
+    """
+    theta = TWO_PI * np.asarray(coeffs, dtype=np.float64) / (1 << m)
+    angles = theta[:, None] * (2.0 ** np.arange(m))
+    if not np.isfinite(angles).all():
+        raise ValueError("phase ladder angle is not finite")
+    np.fmod(angles, TWO_PI, out=angles)
+    high, low = angles >= math.pi, angles < -math.pi
+    angles[high] -= TWO_PI
+    angles[low] += TWO_PI
+    return angles.tolist()
 
 
 def build_state_prep(
@@ -613,44 +684,32 @@ def count_gates(circuit: Circuit) -> GateCounts:
 
     CNOTs follow ladder_cnots.  Rotations: under model "rz" a ladder costs
     m traceless rotations, under model "r" every k-controlled rotation costs
-    2^k of them.
+    2^k of them.  Each gate is classified once, by column: its kind, its
+    qubit count, how many of its qubits lie in the value register and
+    whether its target does.
     """
     n, m = circuit.num_vars, circuit.num_value
-    kind_totals: dict[str, int] = {}
-    hist: dict[int, int] = {}
-    iqft_cphase = 0
-    init_cnot = 0
-    init_cry: dict[int, int] = {}
-    hadamards = 0
-    seen_phase_gate = False
-    for gate in circuit.gates:
-        kind_totals[gate.kind] = kind_totals.get(gate.kind, 0) + 1
-        if gate.kind in ("phase", "cphase", "rz", "crz"):
-            seen_phase_gate = True
-        if gate.kind == "h":
-            if not seen_phase_gate:
-                hadamards += 1
-        elif gate.kind == "cnot" and max(gate.qubits) < n:
-            init_cnot += 1
-        elif gate.kind == "cry":
-            init_cry[len(gate.controls)] = init_cry.get(len(gate.controls), 0) + 1
-        elif gate.kind in ("cphase", "crz"):
-            in_value = [q >= n for q in gate.qubits]
-            if all(in_value):
-                iqft_cphase += 1
-            elif in_value[-1] and not any(in_value[:-1]):
-                k = len(gate.controls)
-                hist[k] = hist.get(k, 0) + 1
+    kinds = list(map(itemgetter(0), circuit.gates))
+    qubits = list(map(itemgetter(1), circuit.gates))
+    sizes = np.fromiter(map(len, qubits), np.intp, len(qubits))
+    ends = np.cumsum(sizes)
+    in_value = np.fromiter(chain.from_iterable(qubits), np.intp, int(sizes.sum())) >= n
+    value_count = np.add.reduceat(in_value, ends - sizes, dtype=np.intp)
+    target_in_value = in_value[ends - 1]
+    kind = np.array(kinds, dtype=str)
+    phase_like = np.isin(kind, ("phase", "cphase", "rz", "crz"))
+    first_phase = int(np.argmax(phase_like)) if phase_like.any() else len(kinds)
+    controlled_phase = (kind == "cphase") | (kind == "crz")
+    term = controlled_phase & target_in_value & (value_count == 1)
+    # Counter keeps first appearance order, as the per-gate tallies did.
+    hist = dict(Counter((sizes[term] - 1).tolist()))
+    constant_gates = np.count_nonzero(((kind == "phase") | (kind == "rz")) & target_in_value)
     if m:
         for k, gates_k in hist.items():
             if gates_k % m:
                 raise ValueError("term gates do not group into whole phase ladders")
     terms_per_rank = {k: gates_k // m for k, gates_k in hist.items()} if m else {}
-    constant_terms = sum(
-        1
-        for gate in circuit.gates
-        if gate.kind in ("phase", "rz") and gate.qubits[0] >= n
-    ) // max(m, 1)
+    constant_terms = int(constant_gates) // max(m, 1)
     cnot_rz = ladder_cnots(terms_per_rank, m, "rz")
     cnot_r = ladder_cnots(terms_per_rank, m, "r")
     rot_rz = m * (sum(terms_per_rank.values()) + constant_terms)
@@ -658,12 +717,12 @@ def count_gates(circuit: Circuit) -> GateCounts:
     return GateCounts(
         num_qubits=circuit.num_qubits,
         num_value=m,
-        kind_totals=kind_totals,
+        kind_totals=dict(Counter(kinds)),
         term_rank_histogram=hist,
-        initial_hadamard_count=hadamards,
-        iqft_cphase_count=iqft_cphase,
-        init_cnot_count=init_cnot,
-        init_controlled_ry=init_cry,
+        initial_hadamard_count=kinds[:first_phase].count("h"),
+        iqft_cphase_count=int(np.count_nonzero(controlled_phase & (value_count == sizes))),
+        init_cnot_count=int(np.count_nonzero((kind == "cnot") & (value_count == 0))),
+        init_controlled_ry=dict(Counter((sizes[kind == "cry"] - 1).tolist())),
         cnot_r_model=cnot_r,
         cnot_rz_model=cnot_rz,
         rotations_r_model=rot_r,
@@ -688,14 +747,20 @@ def circuit_to_text(circuit: Circuit) -> str:
 
 
 def circuit_from_text(text: str) -> Circuit:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("circuit "):
+    """Inverse of circuit_to_text; ValueError naming the line when one is malformed."""
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("circuit "):
         raise ValueError("missing circuit header line")
-    _, n, m = lines[0].split()
+    _, n, m = lines[0][1].split()
     gates = []
-    for ln in lines[1:]:
+    for number, ln in lines[1:]:
         parts = ln.split()
-        qubits = tuple(int(q) for q in parts[1].split(","))
-        angle = float(parts[2]) if len(parts) > 2 else None
-        gates.append(Gate(parts[0], qubits, angle))
+        fields = 3 if parts[0] in _PARAMETRIC else 2
+        if len(parts) != fields:
+            raise ValueError(f"line {number}: expected {fields} fields, got {len(parts)}: {ln!r}")
+        try:
+            qubits = tuple(int(q) for q in parts[1].split(","))
+            gates.append(Gate(parts[0], qubits, float(parts[2]) if fields == 3 else None))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}: {ln!r}") from exc
     return Circuit(int(n), int(m), gates)

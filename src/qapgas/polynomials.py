@@ -23,6 +23,16 @@ BitInput = Union[int, Sequence[int]]
 
 
 def _as_monomial(vars_: Iterable[int]) -> Monomial:
+    if type(vars_) is tuple:
+        # Already a monomial (a strictly increasing tuple of ints >= 0), as the
+        # encoders and the algebra below hand them over: taken as it is.
+        last = -1
+        for v in vars_:
+            if type(v) is not int or v <= last:
+                break
+            last = v
+        else:
+            return vars_
     key = tuple(sorted(set(int(v) for v in vars_)))
     if any(v < 0 for v in key):
         raise ValueError(f"variable indices must be >= 0, got {key}")
@@ -42,7 +52,8 @@ class MultilinearPolynomial:
             key = _as_monomial(vars_)
             if key and key[-1] >= num_vars:
                 raise ValueError(f"variable {key[-1]} out of range for num_vars={num_vars}")
-            acc = clean.get(key, 0) + coeff
+            old = clean.get(key)
+            acc = coeff if old is None else old + coeff
             if acc == 0:
                 clean.pop(key, None)
             else:
@@ -92,6 +103,9 @@ class MultilinearPolynomial:
         return MultilinearPolynomial(self.num_vars, acc)
 
     def scaled(self, factor: Coeff) -> "MultilinearPolynomial":
+        """factor * self; an exact (int or Fraction) factor of 1 returns self, as it is immutable."""
+        if factor == 1 and isinstance(factor, (int, Fraction)):
+            return self
         if factor == 0:
             return MultilinearPolynomial(self.num_vars)
         return MultilinearPolynomial(

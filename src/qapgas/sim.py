@@ -19,7 +19,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .circuits import EMULATION_SPACE_CAP, Circuit, Gate, SpaceScaleError
+from .circuits import EMULATION_SPACE_CAP, Circuit, Gate, SpaceScaleError, gate_outside
 from .polynomials import MultilinearPolynomial
 
 MAX_QUBITS = EMULATION_SPACE_CAP.bit_length() - 1
@@ -109,9 +109,9 @@ class StateVector:
         """
         gates = tuple(gates)
         n = self.num_qubits
-        for gate in gates:
-            if not all(0 <= q < n for q in gate.qubits):
-                raise IndexError(f"gate {gate} outside {n}-qubit register")
+        bad = gate_outside(gates, n)
+        if bad is not None:
+            raise IndexError(f"gate {bad} outside {n}-qubit register")
         if validate:
             runs = ((_run_class(gate), (gate,)) for gate in gates)
         else:
@@ -130,13 +130,14 @@ class StateVector:
         return self
 
     def _apply_phases(self, run: tuple[Gate, ...]) -> None:
-        support = sorted({q for gate in run for q in gate.qubits})
+        support = sorted({q for _, qubits, _ in run for q in qubits})
         var = {q: i for i, q in enumerate(support)}
         terms: dict[tuple[int, ...], float] = {}
-        for gate in run:
-            bits = tuple(var[q] for q in gate.qubits)
-            angle = math.pi if gate.kind == "z" else gate.angle
-            if gate.kind in ("rz", "crz"):
+        for kind, qubits, angle in run:
+            bits = tuple(var[q] for q in qubits)
+            if kind == "z":
+                angle = math.pi
+            elif kind in ("rz", "crz"):
                 terms[bits[:-1]] = terms.get(bits[:-1], 0.0) - 0.5 * angle
             terms[bits] = terms.get(bits, 0.0) + angle
         table = MultilinearPolynomial(len(support), terms).evaluate_table()
@@ -164,8 +165,8 @@ class StateVector:
 
     def _apply_flips(self, run: tuple[Gate, ...]) -> None:
         flipped: set[int] = set()
-        for gate in run:
-            flipped ^= set(gate.qubits)
+        for _, qubits, _ in run:
+            flipped ^= set(qubits)
         if flipped:
             view = self._view()
             view[...] = np.flip(view, axis=tuple(self.num_qubits - 1 - q for q in flipped)).copy()
@@ -173,12 +174,18 @@ class StateVector:
     def _apply_hadamard(self, gate: Gate) -> None:
         (q,) = gate.qubits
         pair = self.amplitudes.reshape(-1, 2, 1 << q)
-        a, b = pair[:, 0], pair[:, 1]
         s = 1.0 / math.sqrt(2.0)
-        a += b  # a + b
-        a *= s  # (a + b) s
-        b *= -2.0 * s  # -2 b s
-        b += a  # (a - b) s
+        # On qubit 1 two 1-D strided passes, one per column, beat one 2-D pass
+        # whose inner runs hold two amplitudes (6 against 16-23 ms at 20 qubits).
+        if q == 1:
+            halves = [(pair[:, 0, j], pair[:, 1, j]) for j in range(2)]
+        else:
+            halves = [(pair[:, 0], pair[:, 1])]
+        for a, b in halves:
+            a += b  # a + b
+            a *= s  # (a + b) s
+            b *= -2.0 * s  # -2 b s
+            b += a  # (a - b) s
 
     def _apply_rotation(self, gate: Gate) -> None:
         """ry and cry: [[c, -s], [s, c]] on the target's halves under the controls."""

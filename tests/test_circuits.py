@@ -1,17 +1,22 @@
+import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from qapgas.analysis import (
+    ALL_KINDS,
     cnot_total,
     controlled_rotation_count,
     qubo_rotation_histogram,
     register_widths,
 )
 from qapgas.circuits import (
+    TWO_PI,
     Circuit,
     Gate,
+    GateCounts,
     build_dicke,
     build_grover_operator,
     build_state_prep,
@@ -24,6 +29,7 @@ from qapgas.circuits import (
     iqft_gates,
     objective_denominator,
     objective_values,
+    phase_polynomial_gates,
     qft_gates,
     reduce_angle,
     substitute_rz,
@@ -74,6 +80,54 @@ class TestGateRecords:
     def test_circuit_bounds_checked(self):
         with pytest.raises(ValueError):
             Circuit(1, 0, [Gate("h", (3,))])
+        with pytest.raises(ValueError, match="outside"):
+            Circuit(3, 0, [Gate("h", (0,)), Gate("cnot", (2, -1)), Gate("x", (1,))])
+
+    def test_circuit_holds_only_gate_records(self):
+        with pytest.raises(TypeError, match="Gate records"):
+            Circuit(2, 0, [Gate("h", (0,)), ("h", (1,), None)])
+
+    @pytest.mark.parametrize(
+        "kind, qubits, angle",
+        [
+            ("h", (0, 1), None),
+            ("h", (), None),
+            ("x", (0, 1), None),
+            ("z", (0, 1), None),
+            ("ry", (0, 1), 0.3),
+            ("phase", (0, 1), 0.3),
+            ("rz", (), 0.3),
+            ("cnot", (0,), None),
+            ("cnot", (0, 1, 2), None),
+            ("swap", (0, 1, 2), None),
+            ("swap", (0,), None),
+            ("cry", (0,), 0.3),
+            ("cphase", (0,), 0.3),
+            ("crz", (1,), 0.3),
+        ],
+    )
+    def test_arity_checked(self, kind, qubits, angle):
+        with pytest.raises(ValueError, match="takes"):
+            Gate(kind, qubits, angle)
+
+    def test_multi_controlled_kinds_take_any_number_of_controls(self):
+        for kind in ("cry", "cphase", "crz"):
+            assert Gate(kind, (0, 1), 0.3).controls == (0,)
+            assert Gate(kind, (4, 0, 2, 1), 0.3).controls == (4, 0, 2)
+
+    def test_tuple_record(self):
+        gate = Gate("cphase", [np.int64(3), 0, 5], 0.25)
+        assert gate == ("cphase", (3, 0, 5), 0.25)
+        assert isinstance(gate, tuple) and all(type(q) is int for q in gate.qubits)
+        assert (gate.kind, gate.qubits, gate.angle) == tuple(gate)
+        assert (gate.target, gate.controls) == (5, (3, 0))
+        assert Gate("swap", (0, 1)).controls == ()
+        assert repr(gate) == "Gate(kind='cphase', qubits=(3, 0, 5), angle=0.25)"
+        assert hash(gate) == hash(Gate("cphase", (3, 0, 5), 0.25))
+        assert len({gate, Gate("cphase", (3, 0, 5), 0.25), Gate("h", (0,))}) == 2
+        assert pickle.loads(pickle.dumps(gate)) == gate
+        with pytest.raises(AttributeError):
+            gate.angle = 1.0
 
     def test_reduce_angle_window(self):
         assert reduce_angle(math.pi) == pytest.approx(-math.pi)
@@ -414,6 +468,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="header"):
             circuit_from_text("h 0\n")
 
+    @pytest.mark.parametrize(
+        "line", ["h", "cphase 0,1 0.5 junk", "h 0 0.5", "phase 0", "cnot 0,1 x", "ry 0,1 0.2"]
+    )
+    def test_malformed_line_named(self, line):
+        with pytest.raises(ValueError, match="line 3"):
+            circuit_from_text(f"circuit 2 0\nh 0\n{line}\nx 1\n")
+
 
 class TestReadoutHelpers:
     def test_twos_complement_split(self):
@@ -517,3 +578,188 @@ def off_grid_instance() -> QapInstance:
         flow[i, j] = flow[j, i] = 1 / p
         dist[i, j] = dist[j, i] = 1 / q
     return QapInstance(3, flow, dist)
+
+
+# SHA-256 of circuit_to_text for build_state_prep and build_grover_operator on
+# generic_instance(n, 100 + n) at the closed-form register width, recorded from
+# the per-gate builder that the phase ladder replaced.  A change to any gate,
+# qubit order or angle bit shows up here.
+GOLDEN_DIGESTS = {
+    ("hubo-hw", 2): ("b692702dc5381a24e6412ad78cad7d863e2d85885615be6e779193884696793a", "baa6049b4a7568087beda44648b2f310e26a0b981de88d40746c831078ace784"),
+    ("qubo-d", 2): ("1360229f436f299728008bfdf94bbe0cb452cac0fee77df0febfafd6806e9d64", "95f22a648f50f5daecf465007a8f7d432bf83297a1f19b2e9dfd29caf5cd204a"),
+    ("qubo-h", 2): ("eeb131208e0971eaf8cd3b37f61d5192b985d8b9cea5fc68d2d942501f9a358d", "9773f9b41039fc4bb0b6f1df28d6d30526c6263f3d63d18233b9e8a3835cee43"),
+    ("hubo-hw", 3): ("361e862c2801c378dc251c4464092a3147300e25cf052733063fa5702825b96d", "a9369d599b5143f57293add749c013d1a21f9fbc6e76f36c3552434396c69355"),
+    ("qubo-d", 3): ("674c6b5d557533eb679f5203e29a424a6b50a9cb97511848413d65029a4db5f9", "be15c30045764078e263898ab8b489fab13ac846d74589278fd0c24cc0d1f3c7"),
+    ("qubo-h", 3): ("6214202cf909844197bcdc91571629fe3926007ebca550e4fe9a67126bcb30e5", "63f288b9081e0c68e14f1d575b0274290de130f2ccc401feed102afe3f1da9a5"),
+    ("hubo-hw", 4): ("adc5ff1e730b2a422ed2dd5436e2bea1ebb7f838f7af9190d3c2f705c47ecb71", "3e3250f357ee356e0b7738bb6375b318758efefcfba8138cb9a61939f28c7aec"),
+    ("qubo-d", 4): ("bcfeec4bebf48e055235c8ae1294f0dc8f4a7ced44ccb43b9609f392aa5438b5", "93753e13a31d78536b01cb7eeeb289110f8f977a21e7b7bf8e316ffbe1306d09"),
+    ("qubo-h", 4): ("5a1625396a4355c7f737aab69daa30674b68f99d38091e29aa46bc8324cb3781", "edac50a00ae23c193ef874dd5e40db28d8f0e40768ca08bffefd642e0b843dbd"),
+    ("hubo-hw", 5): ("c1c09cf12b9746d2d6fc036dd868dd87f3fc7c4047c90d22351fdb45b7a4ec29", "31422172cdad6d5945c03c8fed0acfb89c2cbdf102903664b4e71eb1ab3b7c5c"),
+    ("qubo-d", 5): ("42c177eae210aa024350b40494d617db5d7109f0c589e1e51846f6354129a9e0", "e7b7b8130d21739866be3a2dd641510749ad1724bc66e81782794825b47acc2f"),
+    ("qubo-h", 5): ("9cf9de159698134593ae60bca50cc9c30faacafe51f9f8a162e4d1fafa8b6e4f", "438ca2e4c3cea8f9df9115fa79915fcf2a2185f8fbb8eb073e7c12933e5f374f"),
+    ("hubo-hw", 8): ("e489fc9fdac310261f09a9c9438877d123d36771c30274ad122a00f6dbbfa6f2", "02579d238f31dd9a5a71f2d343d81bb7b4c27d9690f1b4946a7981e6a5ecd101"),
+}
+# hubo-hw on generic_instance(3, 7) at width 9, threshold 1.25 and scale 3.5:
+# the preparation, and the Rz substitute of its Grover step.
+GOLDEN_SCALED = ("80f43ee6364ed619dc062493005c7c5a850aff9f7c677c98a8ee315ff49d4fdc", "67fc7c1fe2d5fa3e71d8a0105aa98ec5a7566d94b206431097914d08202ba602")
+
+
+def _digest(circuit: Circuit) -> str:
+    return hashlib.sha256(circuit_to_text(circuit).encode()).hexdigest()
+
+
+class TestGoldenCircuits:
+    @pytest.mark.parametrize("kind, n", sorted(GOLDEN_DIGESTS))
+    def test_built_circuits_match_digests(self, kind, n):
+        form = encode(generic_instance(n, 100 + n), kind)
+        prep = build_state_prep(form, register_widths(n, kind)[1])
+        grover = build_grover_operator(prep)
+        assert (_digest(prep), _digest(grover)) == GOLDEN_DIGESTS[kind, n]
+
+    def test_shifted_scaled_circuit_matches_digest(self):
+        form = encode(generic_instance(3, 7), "hubo-hw")
+        prep = build_state_prep(form, 9, threshold=1.25, scale=3.5)
+        twin = substitute_rz(build_grover_operator(prep))
+        assert (_digest(prep), _digest(twin)) == GOLDEN_SCALED
+
+    def test_ladder_angles_are_reduce_angle_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        terms = {(): 0.37}
+        for _ in range(40):
+            key = tuple(sorted(rng.choice(6, size=int(rng.integers(1, 4)), replace=False)))
+            terms[key] = float(rng.choice([-1, 1]) * 10.0 ** rng.uniform(-6, 7))
+        poly = MultilinearPolynomial(6, terms)
+        for m in (1, 5, 12, 21):
+            gates = phase_polynomial_gates(poly, 6, range(6, 6 + m), shift=-2.5)
+            a = [0.37 - 2.5] + [float(poly.terms[k]) for k in sorted(poly.terms, key=lambda k: (len(k), k)) if k]
+            expected = [reduce_angle((1 << r) * (TWO_PI * c / (1 << m))) for c in a for r in range(m)]
+            assert [g.angle for g in gates] == expected
+            assert all(type(g.angle) is float for g in gates)
+
+    def test_ladder_rejects_bad_qubits_and_angles(self):
+        poly = MultilinearPolynomial(3, {(0, 1): 1.0})
+        with pytest.raises(ValueError, match="overlaps"):
+            phase_polynomial_gates(poly, 3, [1, 4])
+        with pytest.raises(ValueError, match="duplicate"):
+            phase_polynomial_gates(poly, 3, [3, 3])
+        with pytest.raises(ValueError, match="not finite"):
+            phase_polynomial_gates(poly, 3, [3, 4], shift=math.inf)
+
+
+def _reference_counts(circuit: Circuit) -> GateCounts:
+    """count_gates written gate by gate, with the ladder cost formulas inline."""
+    n, m = circuit.num_vars, circuit.num_value
+    kinds: dict = {}
+    ranks: dict = {}
+    cry: dict = {}
+    hadamards = iqft = init_cnot = constants = 0
+    seen_phase = False
+    for gate in circuit.gates:
+        kinds[gate.kind] = kinds.get(gate.kind, 0) + 1
+        seen_phase |= gate.kind in ("phase", "cphase", "rz", "crz")
+        in_value = [q >= n for q in gate.qubits]
+        if gate.kind == "h" and not seen_phase:
+            hadamards += 1
+        elif gate.kind == "cnot" and not any(in_value):
+            init_cnot += 1
+        elif gate.kind == "cry":
+            cry[len(gate.controls)] = cry.get(len(gate.controls), 0) + 1
+        elif gate.kind in ("cphase", "crz") and all(in_value):
+            iqft += 1
+        elif gate.kind in ("cphase", "crz") and in_value[-1] and not any(in_value[:-1]):
+            ranks[len(gate.controls)] = ranks.get(len(gate.controls), 0) + 1
+        elif gate.kind in ("phase", "rz") and in_value[0]:
+            constants += 1
+    ladders = {k: g // m for k, g in ranks.items()} if m else {}
+    constants //= max(m, 1)
+    cnot_r = sum(2**k * m * t for k, t in ladders.items())
+    return GateCounts(
+        num_qubits=circuit.num_qubits,
+        num_value=m,
+        kind_totals=kinds,
+        term_rank_histogram=ranks,
+        initial_hadamard_count=hadamards,
+        iqft_cphase_count=iqft,
+        init_cnot_count=init_cnot,
+        init_controlled_ry=cry,
+        cnot_r_model=cnot_r,
+        cnot_rz_model=sum((2 * m + 2 * (k - 1)) * t for k, t in ladders.items()),
+        rotations_r_model=cnot_r + m * constants,
+        rotations_rz_model=m * (sum(ladders.values()) + constants),
+    )
+
+
+def _random_counting_circuit(rng: np.random.Generator, n: int, m: int) -> Circuit:
+    """Whole term ladders mixed with every kind, including cphase and crz gates
+    whose qubits mix the variable and value registers (neither IQFT nor term gates)."""
+    var, val = list(range(n)), list(range(n, n + m))
+
+    def pick(pool, count):
+        return [int(q) for q in rng.choice(pool, size=count, replace=False)]
+
+    def angle():
+        return float(rng.uniform(-math.pi, math.pi))
+
+    # A leading Hadamard layer of random size: these count as initial Hadamards.
+    gates = [Gate("h", (q,)) for q in pick(var + val, int(rng.integers(0, n + m + 1)))]
+    for _ in range(int(rng.integers(10, 30))):
+        choice = int(rng.integers(9))
+        controlled = ("cphase", "crz")[rng.integers(2)]
+        if choice == 0:  # a whole term ladder, or a constant ladder
+            controls = pick(var, int(rng.integers(0, min(n, 3) + 1)))
+            kind = controlled if controls else ("phase", "rz")[rng.integers(2)]
+            gates.extend(Gate(kind, (*controls, t), angle()) for t in val)
+        elif choice == 1 and m > 1:  # IQFT-like: every qubit in the value register
+            gates.append(Gate(controlled, pick(val, int(rng.integers(2, m + 1))), angle()))
+        elif choice == 2:  # mixed controls, value target
+            gates.append(Gate(controlled, (*pick(var, 1), *pick(val, 1)), angle()))
+            if m > 1:
+                control, target = pick(val, 2)
+                gates.append(Gate(controlled, (control, *pick(var, 1), target), angle()))
+        elif choice == 3 and n > 1:  # variable target
+            gates.append(Gate(controlled, (*pick(val, 1), *pick(var, 2)), angle()))
+            gates.append(Gate(controlled, pick(var, 2), angle()))
+        elif choice == 4:
+            gates.append(Gate(("phase", "rz")[rng.integers(2)], pick(var + val, 1), angle()))
+        elif choice == 5:
+            gates.append(Gate(("h", "x", "z")[rng.integers(3)], pick(var + val, 1)))
+        elif choice == 6 and n > 1:
+            gates.append(Gate("cnot", pick(var, 2)))
+            gates.append(Gate(("cnot", "swap")[rng.integers(2)], (*pick(var, 1), *pick(val, 1))))
+        elif choice == 7:
+            size = int(rng.integers(2, n + m + 1))
+            gates.append(Gate("cry", pick(var + val, size), angle()))
+        else:
+            gates.append(Gate("ry", pick(var + val, 1), angle()))
+    return Circuit(n, m, gates)
+
+
+class TestCountGatesReference:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_built_and_substituted_circuits(self, kind, n):
+        form = encode(generic_instance(n, 100 + n), kind)
+        prep = build_state_prep(form, register_widths(n, kind)[1])
+        grover = build_grover_operator(prep)
+        for circuit in (prep, grover, substitute_rz(prep), substitute_rz(grover)):
+            assert count_gates(circuit) == _reference_counts(circuit)
+
+    def test_dicke_and_empty_circuits(self):
+        hadamards_only = Circuit(2, 1, [Gate("h", (0,)), Gate("x", (1,)), Gate("h", (2,))])
+        for circuit in (build_dicke(7, 3), build_dicke(1, 1), Circuit(3, 2), hadamards_only):
+            assert count_gates(circuit) == _reference_counts(circuit)
+
+    def test_random_circuits(self):
+        rng = np.random.default_rng(99)
+        compared = 0
+        for trial in range(150):
+            circuit = _random_counting_circuit(rng, 1 + trial % 5, 1 + trial % 4)
+            expected = _reference_counts(circuit)
+            if any(g % circuit.num_value for g in expected.term_rank_histogram.values()):
+                with pytest.raises(ValueError, match="ladder"):
+                    count_gates(circuit)
+                continue
+            assert count_gates(circuit) == expected
+            assert count_gates(substitute_rz(circuit)) == _reference_counts(substitute_rz(circuit))
+            compared += 1
+        assert compared >= 50

@@ -48,6 +48,17 @@ class TestNormalForm:
         p = MultilinearPolynomial(3, {(2, 0): 1.5})
         assert list(p.terms) == [(0, 2)]
 
+    def test_keys_in_any_form_are_normalized(self):
+        p = MultilinearPolynomial(
+            5, {(1, 1, 0): 1, (np.int64(2), 4): 2, (4, 2): 3, frozenset({3}): 4, (0, 1): Fraction(1, 2)}
+        )
+        assert p.terms == {(0, 1): Fraction(3, 2), (2, 4): 5, (3,): 4}
+        assert all(type(v) is int for key in p.terms for v in key)
+        with pytest.raises(ValueError, match=">= 0"):
+            MultilinearPolynomial(3, {(-1, 2): 1})
+        with pytest.raises(ValueError, match=">= 0"):
+            MultilinearPolynomial(3, {(2, -1): 1})
+
     def test_renormalizing_is_a_noop(self):
         rng = np.random.default_rng(5)
         p = random_poly(rng, 6, 25)
@@ -126,6 +137,13 @@ class TestAlgebraProperties:
         p = MultilinearPolynomial(2, {(0,): 3, (): 1})
         assert p.scaled(0).term_count() == 0
         assert p.scaled(2).terms == {(0,): 6, (): 2}
+
+    def test_exact_unit_scaling_returns_the_same_polynomial(self):
+        p = MultilinearPolynomial(2, {(0,): Fraction(3, 4), (): 1})
+        assert p.scaled(1) is p
+        assert p.scaled(Fraction(1)) is p
+        as_float = p.scaled(1.0)
+        assert as_float == p and all(type(c) is float for c in as_float.terms.values())
 
     def test_shifted_adds_constant(self):
         p = MultilinearPolynomial(2, {(0,): 3})

@@ -143,10 +143,14 @@ def _random_circuit(rng: np.random.Generator, num_qubits: int) -> list[Gate]:
     def angle():
         return float(rng.uniform(-math.pi, math.pi))
 
+    # Controlled kinds take at least two qubits, so a 1-qubit circuit has none.
+    controlled = num_qubits > 1
+
     def diagonal_gate():
-        kind = ("z", "phase", "rz", "cphase", "crz")[rng.integers(5)]
+        kinds = ("z", "phase", "rz") + (("cphase", "crz") if controlled else ())
+        kind = kinds[rng.integers(len(kinds))]
         if kind in ("cphase", "crz"):
-            return Gate(kind, qubits(int(rng.integers(1, num_qubits + 1))), angle())
+            return Gate(kind, qubits(int(rng.integers(2, num_qubits + 1))), angle())
         return Gate(kind, qubits(1), None if kind == "z" else angle())
 
     gates: list[Gate] = []
@@ -154,19 +158,19 @@ def _random_circuit(rng: np.random.Generator, num_qubits: int) -> list[Gate]:
         segment = int(rng.integers(4))
         if segment == 0:  # a diagonal run, sometimes ending on an all-qubit cphase
             gates.extend(diagonal_gate() for _ in range(int(rng.integers(1, 8))))
-            if rng.random() < 0.3:
+            if controlled and rng.random() < 0.3:
                 gates.append(Gate("cphase", qubits(num_qubits), angle()))
         elif segment == 1:  # an x run; qubits may repeat
             gates.extend(Gate("x", qubits(1)) for _ in range(int(rng.integers(1, 6))))
         else:
-            kinds = ["h", "ry", "cry"] + (["swap", "cnot"] if num_qubits > 1 else [])
+            kinds = ["h", "ry"] + (["cry", "swap", "cnot"] if controlled else [])
             kind = kinds[rng.integers(len(kinds))]
             if kind == "h":
                 gates.append(Gate("h", qubits(1)))
             elif kind in ("swap", "cnot"):
                 gates.append(Gate(kind, qubits(2)))
             else:
-                size = 1 if kind == "ry" else int(rng.integers(1, num_qubits + 1))
+                size = 1 if kind == "ry" else int(rng.integers(2, num_qubits + 1))
                 gates.append(Gate(kind, qubits(size), angle()))
     return gates
 
