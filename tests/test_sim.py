@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,17 +176,32 @@ def _random_circuit(rng: np.random.Generator, num_qubits: int) -> list[Gate]:
     return gates
 
 
+def _random_state(rng: np.random.Generator, num_qubits: int) -> np.ndarray:
+    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    return amps / np.linalg.norm(amps)
+
+
+def _check_runs(num_qubits: int, gates: list[Gate], rng: np.random.Generator, reference) -> None:
+    """Fused runs and gate-by-gate application both match ``reference(amps, gates)``."""
+    amps = _random_state(rng, num_qubits)
+    expected = reference(amps.copy(), gates)
+    fused = StateVector(num_qubits, amps).apply_all(gates)
+    np.testing.assert_allclose(fused.amplitudes, expected, rtol=0, atol=1e-12)
+    single = StateVector(num_qubits, amps).apply_all(gates, validate=True)
+    np.testing.assert_allclose(single.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+def _kronecker_reference(num_qubits: int):
+    def reference(amps, gates):
+        for gate in gates:
+            amps = _reference_unitary(num_qubits, gate) @ amps
+        return amps
+    return reference
+
+
 class TestAgainstKroneckerReference:
     def _check(self, num_qubits: int, gates: list[Gate], rng: np.random.Generator) -> None:
-        amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-        amps /= np.linalg.norm(amps)
-        expected = amps.copy()
-        for gate in gates:
-            expected = _reference_unitary(num_qubits, gate) @ expected
-        fused = StateVector(num_qubits, amps).apply_all(gates)
-        np.testing.assert_allclose(fused.amplitudes, expected, rtol=0, atol=1e-12)
-        single = StateVector(num_qubits, amps).apply_all(gates, validate=True)
-        np.testing.assert_allclose(single.amplitudes, expected, rtol=0, atol=1e-12)
+        _check_runs(num_qubits, gates, rng, _kronecker_reference(num_qubits))
 
     def test_random_circuits_match_kronecker_products(self):
         rng = np.random.default_rng(2024)
@@ -210,6 +226,194 @@ class TestAgainstKroneckerReference:
             Gate("crz", (0, 1, 3, 2), 2.9), Gate("z", (3,)),
         ]
         self._check(4, gates, rng)
+
+
+def _random_runs(rng: np.random.Generator, num_qubits: int) -> list[Gate]:
+    """Long runs of one class each: Hadamards and swaps with repeats, diagonal
+    runs whose terms often share qubits, and x runs."""
+    def qubits(count):
+        return tuple(int(q) for q in rng.permutation(num_qubits)[:count])
+
+    def angle():
+        return float(rng.uniform(-math.pi, math.pi))
+
+    gates: list[Gate] = []
+    for _ in range(int(rng.integers(3, 8))):
+        segment = int(rng.integers(4 if num_qubits > 1 else 3))
+        length = int(rng.integers(1, 3 * num_qubits + 2))
+        if segment == 0:
+            gates.extend(Gate("h", qubits(1)) for _ in range(length))
+        elif segment == 1:
+            gates.extend(Gate("x", qubits(1)) for _ in range(length))
+        elif segment == 2:
+            # A diagonal run; with a shared qubit every term contains it.
+            shared = qubits(1) if rng.random() < 0.5 else ()
+            for _ in range(length):
+                others = tuple(q for q in qubits(int(rng.integers(1, num_qubits + 1))) if q not in shared)
+                kind = ("z", "phase", "rz", "cphase", "crz")[rng.integers(5)]
+                if kind in ("cphase", "crz") and len(shared + others) < 2:
+                    kind = "phase" if kind == "cphase" else "rz"
+                if kind in ("z", "phase", "rz"):
+                    gate_qubits = shared or others[:1]
+                    if kind == "rz" and shared:
+                        kind = "phase"  # rz adds a global term, which no qubit is in
+                else:
+                    # crz's target carries the term without the controls; with
+                    # a shared qubit it goes among the controls.
+                    gate_qubits = shared + others if shared and kind == "crz" else others + shared
+                gates.append(Gate(kind, gate_qubits, None if kind == "z" else angle()))
+        else:
+            gates.extend(Gate("swap", qubits(2)) for _ in range(length))
+    return gates
+
+
+class TestRunKernels:
+    """Each run kernel against Kronecker products, on runs chosen to reach its branches."""
+
+    def _check(self, num_qubits: int, gates: list[Gate], seed: int = 0) -> None:
+        rng = np.random.default_rng(seed)
+        _check_runs(num_qubits, gates, rng, _kronecker_reference(num_qubits))
+
+    def test_random_runs(self):
+        rng = np.random.default_rng(515)
+        kinds: set[str] = set()
+        for trial in range(90):
+            num_qubits = 1 + trial % 6
+            gates = _random_runs(rng, num_qubits)
+            kinds.update(g.kind for g in gates)
+            _check_runs(num_qubits, gates, rng, _kronecker_reference(num_qubits))
+        assert kinds == {"h", "x", "z", "swap", "phase", "rz", "cphase", "crz"}
+
+    def test_hadamard_runs(self):
+        for n in range(1, 7):
+            for q in range(n):
+                self._check(n, [Gate("h", (q,))])
+            layer = [Gate("h", (q,)) for q in range(n)]
+            self._check(n, layer)
+            self._check(n, layer + layer[::2])  # H H = I on the even qubits
+        self._check(6, [Gate("h", (q,)) for q in (0, 2, 3, 5)])
+        self._check(6, [Gate("h", (q,)) for q in (5, 1, 4, 1, 0, 4, 3)])
+        self._check(3, [Gate("h", (1,)), Gate("h", (1,))])
+
+    def test_swap_runs(self):
+        self._check(6, [Gate("swap", (q, q + 1)) for q in range(5)])
+        self._check(6, [Gate("swap", (0, 5)), Gate("swap", (5, 2)), Gate("swap", (2, 0))])
+        self._check(4, [Gate("swap", (1, 3)), Gate("swap", (3, 1))])  # cancels
+        self._check(5, [Gate("swap", (0, 1)), Gate("swap", (2, 3)), Gate("swap", (0, 1))])
+        self._check(2, [Gate("swap", (0, 1))] * 3)
+
+    def test_diagonal_runs_with_shared_qubits(self):
+        self._check(4, [
+            Gate("cphase", (0, 2), 0.4), Gate("crz", (2, 3), -1.1), Gate("z", (2,)),
+            Gate("phase", (2,), 0.9), Gate("cphase", (1, 3, 2), 2.1),
+        ])
+        # Two adjacent qubits in every term, and every qubit in every term.
+        self._check(5, [Gate("cphase", (1, 2, 4), 0.7), Gate("crz", (2, 0, 1), 1.3), Gate("cphase", (2, 1), -0.2)])
+        self._check(3, [Gate("cphase", (0, 1, 2), 0.5), Gate("crz", (2, 0, 1), -2.5)])
+
+    def test_rz_mixes_keep_every_qubit(self):
+        # rz adds a term over no qubit, so nothing may be sliced off.
+        self._check(3, [Gate("rz", (1,), 0.8), Gate("crz", (0, 1), 1.9)])
+        self._check(4, [Gate("crz", (0, 1), 0.6), Gate("crz", (2, 1), -1.4)])
+        self._check(4, [Gate("crz", (3, 2), 0.6), Gate("cphase", (3, 0), 1.2), Gate("rz", (0,), -0.3)])
+
+    def test_cancelling_angles(self):
+        sv = StateVector(3, _random_state(np.random.default_rng(3), 3))
+        before = sv.amplitudes.copy()
+        sv.apply_all([Gate("phase", (1,), 0.7), Gate("phase", (1,), -0.7)])
+        np.testing.assert_array_equal(sv.amplitudes, before)
+        self._check(4, [
+            Gate("rz", (0,), 0.4), Gate("crz", (1, 0), 0.3), Gate("cphase", (2, 3), 1.0),
+            Gate("rz", (0,), -0.4), Gate("crz", (1, 0), -0.3),
+        ])
+
+    def test_z_on_one_qubit(self):
+        self._check(1, [Gate("z", (0,))])
+        self._check(1, [Gate("phase", (0,), 0.3), Gate("z", (0,))])
+        self._check(1, [Gate("rz", (0,), 1.2)])
+
+
+def _per_gate_reference(num_qubits: int):
+    """Gate by gate on the flat array: a 2x2 Hadamard on the target's halves,
+    an explicit phase per basis state, and index permutations for x and swap."""
+    index = np.arange(1 << num_qubits)
+
+    def bit(q):
+        return (index >> q) & 1
+
+    def reference(amps, gates):
+        for kind, qubits, angle in gates:
+            if kind == "h":
+                pair = amps.reshape(-1, 2, 1 << qubits[0])
+                amps = np.stack([pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]], axis=1)
+                amps = amps.reshape(-1) / math.sqrt(2)
+            elif kind == "x":
+                amps = amps[index ^ (1 << qubits[0])]
+            elif kind == "swap":
+                a, b = qubits
+                amps = amps[index ^ ((bit(a) ^ bit(b)) * ((1 << a) | (1 << b)))]
+            else:
+                on = np.prod([bit(q) for q in qubits[:-1]], axis=0) if len(qubits) > 1 else 1
+                target = bit(qubits[-1])
+                if kind == "z":
+                    phase = math.pi * target
+                elif kind in ("phase", "cphase"):
+                    phase = angle * on * target
+                else:  # rz, crz
+                    phase = angle * on * (target - 0.5)
+                amps = amps * np.exp(1j * phase)
+        return amps
+    return reference
+
+
+class TestRunKernelsWide:
+    """At 10-12 qubits Hadamard layers split into several blocks of four and
+    cross from the right product (top qubit <= 3) to the left one."""
+
+    def test_against_per_gate_reference(self):
+        rng = np.random.default_rng(88)
+        for num_qubits in (10, 11, 12):
+            layer = [Gate("h", (q,)) for q in range(num_qubits)]
+            lone = [Gate("h", (q,)) for q in range(num_qubits)[::-1]]
+            _check_runs(num_qubits, layer, rng, _per_gate_reference(num_qubits))
+            for gate in lone:
+                _check_runs(num_qubits, [gate], rng, _per_gate_reference(num_qubits))
+            for _ in range(4):
+                gates = layer + _random_runs(rng, num_qubits) + layer[1::3]
+                _check_runs(num_qubits, gates, rng, _per_gate_reference(num_qubits))
+
+    def test_phase_ladder_and_inverse_qft(self):
+        """A preparation circuit: Hadamards, a full phase ladder, the inverse QFT."""
+        form = encode_hubo_hw(random_instance(2, 5))
+        prep = build_state_prep(form, 9, threshold=0.5, scale=4.0)
+        assert 10 <= prep.num_qubits <= 12
+        _check_runs(prep.num_qubits, list(prep.gates), np.random.default_rng(9),
+                    _per_gate_reference(prep.num_qubits))
+
+
+class TestTemporaryMemory:
+    def test_one_state_beyond_the_state(self):
+        """The traced peak of a whole iteration, state included, is two states
+        plus numpy's iterator buffers (three of 8,192 elements)."""
+        n = 18
+        gates = (
+            [Gate("h", (q,)) for q in range(n)]
+            + [Gate("cphase", (q, (q + 5) % n), 0.1 * q) for q in range(n)]
+            + [Gate("crz", (q, (q + 3) % n), 0.2 * q) for q in range(n)]
+            + [Gate("x", (q,)) for q in range(0, n, 2)]
+            + [Gate("swap", (q, n - 1 - q)) for q in range(n // 2)]
+            + [Gate("h", (q,)) for q in (1, 4, 9, 17)]
+            + [Gate("ry", (3,), 0.4), Gate("cnot", (2, 7))]
+        )
+        tracemalloc.start()
+        try:
+            sv = StateVector(n)
+            sv.apply_all(gates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(sv.norm() - 1.0) < 1e-12
+        assert peak <= 2 * sv.amplitudes.nbytes + (1 << 19)
 
 
 class TestMeasurement:
@@ -246,6 +450,19 @@ class TestMeasurement:
         bits, sv = run_circuit(circuit, seed=5)
         assert bin(bits).count("1") == 1
         assert abs(sv.norm() - 1.0) < 1e-12
+
+    def test_draw_stays_inside_the_register(self):
+        """The last cumulative sum can fall below the pairwise sum of the
+        probabilities; the largest draw must still name the last state."""
+        sv = StateVector(12, _random_state(np.random.default_rng(0), 12))
+        probs = sv.probabilities()
+        assert np.cumsum(probs)[-1] < probs.sum()
+
+        class LargestDraw:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        assert sv.measure_all(LargestDraw()) == (1 << 12) - 1
 
     def test_measurement_deterministic_under_seed(self):
         circuit = build_dicke(5, 2)
