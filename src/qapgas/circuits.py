@@ -157,9 +157,6 @@ class Circuit:
             raise ValueError("circuit has no value register")
         return self.num_qubits - 1
 
-    def extended(self, gates: Iterable[Gate]) -> "Circuit":
-        return Circuit(self.num_vars, self.num_value, self.gates + tuple(gates))
-
 
 def reduce_angle(theta: float) -> float:
     """Map an angle to the canonical window [-pi, pi)."""

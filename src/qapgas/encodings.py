@@ -127,14 +127,6 @@ class Formulation:
             return n**n
         return 1 << self.num_vars
 
-    @property
-    def feasible_space(self) -> str:
-        """Human-readable description of the initial superposition's support."""
-        n = self.size_n
-        if self.kind is FormulationKind.QUBO_DICKE:
-            return f"weight-1 row blocks: {n}^{n} = {self.space_size} states"
-        return f"full hypercube: 2^{self.num_vars} = {self.space_size} states"
-
     def evaluate(self, x: int) -> float:
         return float(self.poly.evaluate(x))
 
@@ -368,10 +360,6 @@ class TermCensus:
     structural_terms: int
     controlled_per_order: dict[int, int]
     constant_generators: int
-
-    @property
-    def controlled_total(self) -> int:
-        return sum(self.controlled_per_order.values())
 
 
 def term_census(form: Formulation) -> TermCensus:

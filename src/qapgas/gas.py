@@ -467,10 +467,6 @@ class GasTrace:
     def queries_with_init(self) -> int:
         return self.queries + 1
 
-    @property
-    def classical_evaluations(self) -> int:
-        return len(self.iterations) + 1
-
 
 def draw_rotation_count(u: float, k: float) -> int:
     """Grover-step count, uniform on {0, ..., ceil(k-1)} for draw range k, from `u` uniform on [0, 1)."""

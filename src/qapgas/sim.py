@@ -9,16 +9,21 @@ Gates are applied in runs of one gate class, each run in one pass over the
 register where it can be.  A run of Hadamards is H on the qubits it hits an
 odd number of times, applied as one real Walsh-matrix product per block of
 up to four adjacent qubits.  A run of diagonal phase gates is a phase
-polynomial over its qubits: its complex factor table comes from one
-subset-product transform of e^{i theta} seeds, and the state is multiplied
-by it once.  A run of x gates is one flip of the state and a run of swaps
-one axis permutation, each copied once.  No kernel holds more than one
-state of temporary memory, and a kernel may replace ``amplitudes`` with a
-new array (see ``StateVector.apply_all``).
+polynomial over its qubits: its complex factor table holds, at each entry,
+the product of the e^{i theta} seeds of the terms that entry contains.  The
+table is built in place, split by split on its top index bit, so a phase
+ladder's table costs about one multiply and one copy per entry, and the
+state is multiplied by it once.  A run of x gates is one flip of the state
+and a run of swaps one axis permutation, each copied once.  No kernel holds
+more than one state of temporary memory, and a kernel may replace
+``amplitudes`` with a new array (see ``StateVector.apply_all``).  One
+simulated 20-qubit GAS iteration (hubo-hw, N=3, 1,992 gates) takes about
+0.2 s on a 2-core x86 host.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import reduce
 from itertools import groupby
 from operator import and_, or_
@@ -58,6 +63,47 @@ def _axis_runs(num_qubits: int, key) -> list[list]:
         else:
             axes.append([k, 2])
     return axes
+
+
+def _subset_products(index: list[int], seeds: list[complex], width: int) -> np.ndarray:
+    """Table of 2^width entries whose entry i is the product of the seeds at
+    every index that is a subset of i's bits (indices ascending, below 2^width).
+
+    The table is built in place, split by split on its top index bit: the
+    low half is the table of the seeds without that bit, and the high half
+    is first the table of the seeds with it, then multiplied by the low
+    half.  Seeds whose indices all lie below 2^t are built over the first
+    2^t entries, which are then copied up by broadcasting; no seeds give
+    ones.  A phase ladder, whose seeds are subsets of the variables times
+    one value qubit, so costs about 2^width contiguous multiplies and as
+    many copied entries, not the width * 2^(width-1) strided multiplies of
+    a per-axis transform.  No split allocates a temporary.
+    """
+    table = np.empty(1 << width, dtype=np.complex128)
+    _fill_products(table, index, seeds, 0, len(index), 0)
+    return table
+
+
+def _fill_products(
+    table: np.ndarray, index: list[int], seeds: list[complex], lo: int, hi: int, base: int
+) -> None:
+    """Fill `table`, the factor table's entries from `base` on, from the seeds
+    at index[lo:hi], which all lie in [base, base + table.size)."""
+    if lo == hi:
+        table[...] = 1.0
+        return
+    span = 1 << (index[hi - 1] - base).bit_length()
+    if span < table.size:
+        _fill_products(table[:span], index, seeds, lo, hi, base)
+        table[span:].reshape(-1, span)[...] = table[:span]
+    elif span == 1:
+        table[0] = seeds[lo]
+    else:
+        half = span >> 1
+        mid = bisect_left(index, base + half, lo, hi)
+        _fill_products(table[:half], index, seeds, lo, mid, base)
+        _fill_products(table[half:], index, seeds, mid, hi, base + half)
+        table[half:] *= table[:half]
 
 
 class StateVector:
@@ -126,10 +172,13 @@ class StateVector:
           matrix W_g.
         * diagonal (z, phase, rz, cphase, crz): one phase polynomial over
           the run's support.  phase and cphase add a*prod(b), z adds pi*b,
-          and rz and crz add a*prod(controls)*(b_t - 1/2).  Each term seeds
-          e^{i a} at its mask in a table of ones, one subset-product
-          transform makes every entry the product of its subsets' seeds, and
-          the state is multiplied once, broadcast over the other qubits.
+          and rz and crz add a*prod(controls)*(b_t - 1/2).  Each term is a
+          seed e^{i a} at its mask, and entry i of the factor table is the
+          product of the seeds at i's subsets.  `_subset_products` builds
+          the table in place, split by split on its top index bit, so a
+          k-qubit phase ladder costs about 2^k contiguous multiplies and
+          copies rather than k*2^(k-1) strided multiplies.  The state is
+          multiplied once, broadcast over the other qubits.
           The phase is 0 wherever a qubit that every term contains is 0, so
           only the slice where all such qubits are 1 is multiplied.
         * x: one flip over the axes of the qubits flipped an odd number of
@@ -199,7 +248,8 @@ class StateVector:
                 controls = mask ^ (1 << qubits[-1])
                 terms[controls] = terms.get(controls, 0.0) - 0.5 * angle
             terms[mask] = terms.get(mask, 0.0) + angle
-        terms = {mask: angle for mask, angle in terms.items() if angle}
+        # In mask order, which is also the order of their table indices.
+        terms = {mask: angle for mask, angle in sorted(terms.items()) if angle}
         if not terms:
             return
         common = reduce(and_, terms)
@@ -210,11 +260,8 @@ class StateVector:
         index = np.zeros_like(masks)
         for j, q in enumerate(free):
             index |= (masks >> q & 1) << j
-        factor = np.ones(1 << len(free), dtype=np.complex128)
-        factor[index] = np.exp(1j * np.fromiter(terms.values(), dtype=np.float64, count=len(terms)))
-        for j in range(len(free)):
-            pair = factor.reshape(-1, 2, 1 << j)
-            pair[:, 1] *= pair[:, 0]
+        seeds = np.exp(1j * np.fromiter(terms.values(), dtype=np.float64, count=len(terms)))
+        factor = _subset_products(index.tolist(), seeds.tolist(), len(free))
         # The table's axes follow the free qubits from the top, like the
         # state's; adjacent qubits of one kind share an axis.
         axes = _axis_runs(
@@ -298,8 +345,19 @@ class StateVector:
         return int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
 
     def marginal(self, qubits) -> np.ndarray:
-        """Probability distribution over the listed qubits, qubits[0] least significant."""
+        """Probability distribution over the listed qubits, qubits[0] least significant.
+
+        Raises IndexError for a qubit outside the register and ValueError for
+        a qubit listed twice.
+        """
         qubits = list(qubits)
+        seen: set[int] = set()
+        for q in qubits:
+            if not 0 <= q < self.num_qubits:
+                raise IndexError(f"qubit {q} outside {self.num_qubits}-qubit register")
+            if q in seen:
+                raise ValueError(f"qubit {q} listed twice")
+            seen.add(q)
         probs = self.probabilities().reshape([2] * self.num_qubits)
         axes_keep = [self.num_qubits - 1 - q for q in qubits]
         drop = tuple(ax for ax in range(self.num_qubits) if ax not in axes_keep)

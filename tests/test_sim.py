@@ -7,7 +7,7 @@ import pytest
 from qapgas.circuits import Gate, SpaceScaleError, build_dicke, build_state_prep
 from qapgas.encodings import encode_hubo_hw
 from qapgas.qap import random_instance
-from qapgas.sim import MAX_QUBITS, StateVector, run_circuit
+from qapgas.sim import MAX_QUBITS, StateVector, _subset_products, run_circuit
 
 
 class TestSingleGates:
@@ -416,6 +416,91 @@ class TestTemporaryMemory:
         assert peak <= 2 * sv.amplitudes.nbytes + (1 << 19)
 
 
+def _per_axis_products(index: np.ndarray, seeds: np.ndarray, width: int) -> np.ndarray:
+    """The per-axis subset-product transform: the seeds in a table of ones,
+    then one pass per index bit multiplying each entry into the entry with
+    that bit set."""
+    factor = np.ones(1 << width, dtype=np.complex128)
+    factor[index] = seeds
+    for j in range(width):
+        pair = factor.reshape(-1, 2, 1 << j)
+        pair[:, 1] *= pair[:, 0]
+    return factor
+
+
+def _ladder_masks(rng: np.random.Generator, variables: int, width: int, subsets: int) -> list[int]:
+    """Seed masks shaped like a phase ladder: subsets of the low `variables`
+    bits, each times every one of the high bits."""
+    low = {int(m) for m in rng.integers(1, 1 << variables, subsets)} | {1 << q for q in range(variables)}
+    return sorted(m | 1 << h for m in low for h in range(variables, width))
+
+
+class TestSubsetProducts:
+    """The diagonal kernel's split build against the per-axis transform."""
+
+    def _check(self, masks, width: int, rng: np.random.Generator) -> None:
+        index = np.array(sorted(masks), dtype=np.int64)
+        seeds = np.exp(1j * rng.uniform(-math.pi, math.pi, index.size))
+        table = _subset_products(index.tolist(), seeds.tolist(), width)
+        assert table.shape == (1 << width,)
+        assert np.max(np.abs(table - _per_axis_products(index, seeds, width))) <= 1e-13
+        assert np.max(np.abs(np.abs(table) - 1.0)) <= 1e-13
+
+    def test_empty_set_gives_ones(self):
+        for width in (0, 1, 5):
+            table = _subset_products([], [], width)
+            np.testing.assert_array_equal(table, np.ones(1 << width))
+
+    def test_one_seed_at_zero(self):
+        rng = np.random.default_rng(0)
+        for width in (0, 1, 3, 10):
+            self._check([0], width, rng)
+
+    def test_dense_sets(self):
+        rng = np.random.default_rng(1)
+        for width in (1, 2, 5, 10):
+            self._check(range(1 << width), width, rng)
+
+    def test_seeds_with_several_high_bits(self):
+        rng = np.random.default_rng(2)
+        for width in (4, 8, 12):
+            high = rng.integers(0, 1 << (width // 2), 40) << (width - width // 2)
+            low = rng.integers(0, 1 << (width - width // 2), 40)
+            masks = {int(m) for m in high | low} | {(1 << width) - 1, 1 << (width - 1)}
+            self._check(masks, width, rng)
+            # Seeds confined to the middle bits, copied up from a short table.
+            self._check({int(m) << 2 for m in rng.integers(0, 1 << (width - 4), 12)}, width, rng)
+
+    def test_ladder_shaped_sets(self):
+        rng = np.random.default_rng(3)
+        for width in range(2, 15):
+            for variables in {1, width // 2, width - 1}:
+                masks = _ladder_masks(rng, variables, width, 3 * width)
+                self._check(masks, width, rng)
+                # rz terms add seeds over the controls alone, below the high bits.
+                self._check(set(masks) | {m & ((1 << variables) - 1) for m in masks[::3]}, width, rng)
+
+    def test_ladder_runs_over_every_qubit_stay_within_one_state(self):
+        """Two phase ladders over all 18 qubits, a Hadamard between them: each
+        factor table is one state and is freed before the next is built."""
+        n, variables = 18, 12
+        rng = np.random.default_rng(18)
+        ladder = [
+            Gate("cphase", tuple(q for q in range(n) if m >> q & 1), 0.3 + 0.01 * i)
+            for i, m in enumerate(_ladder_masks(rng, variables, n, 40))
+        ]
+        gates = [Gate("h", (q,)) for q in range(n)] + ladder + [Gate("h", (0,))] + ladder[::-1]
+        tracemalloc.start()
+        try:
+            sv = StateVector(n)
+            sv.apply_all(gates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(sv.norm() - 1.0) < 1e-12
+        assert peak <= 2 * sv.amplitudes.nbytes + (1 << 19)
+
+
 class TestMeasurement:
     def test_basis_state_is_certain(self):
         sv = StateVector(3).apply(Gate("x", (1,)))
@@ -464,6 +549,19 @@ class TestMeasurement:
 
         assert sv.measure_all(LargestDraw()) == (1 << 12) - 1
 
+    def test_marginal_rejects_qubit_outside_register(self):
+        sv = StateVector(3)
+        for qubits in ([3], [-1], [0, 5]):
+            with pytest.raises(IndexError, match="outside 3-qubit register"):
+                sv.marginal(qubits)
+
+    def test_marginal_rejects_repeated_qubit(self):
+        sv = StateVector(3)
+        with pytest.raises(ValueError, match="qubit 0 listed twice"):
+            sv.marginal([0, 0])
+        with pytest.raises(ValueError, match="qubit 2 listed twice"):
+            sv.marginal([2, 1, 2])
+
     def test_measurement_deterministic_under_seed(self):
         circuit = build_dicke(5, 2)
         assert run_circuit(circuit, seed=11)[0] == run_circuit(circuit, seed=11)[0]
@@ -496,6 +594,34 @@ class TestGroverStepDistribution:
         simulated = sv.marginal(range(form.num_vars))
         expected = engine.variable_distribution(threshold, 1)
         np.testing.assert_allclose(simulated, expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("twin", [False, True], ids=["phase", "rz"])
+    @pytest.mark.parametrize("kind", ["qubo-d", "qubo-h"])
+    def test_steps_match_exact_engine(self, kind, twin):
+        """sample_instance(3) at the engine's default scale (22 qubits for
+        qubo-d, which starts from the Dicke state, 24 for qubo-h): prep plus
+        L = 0, 1 and 2 Grover steps, with the phase ladder or its Rz
+        substitute, give the exact engine's marginal."""
+        from qapgas.circuits import build_grover_operator, substitute_rz
+        from qapgas.encodings import encode
+        from qapgas.gas import ExactEngine
+        from qapgas.samples import sample_instance
+
+        form = encode(sample_instance(3), kind)
+        engine = ExactEngine(form)
+        threshold = float(engine.sorted_values[engine.size // 2])
+        prep = build_state_prep(form, engine.width, threshold=threshold, scale=engine.scale)
+        grover = build_grover_operator(prep)
+        if twin:
+            prep, grover = substitute_rz(prep), substitute_rz(grover)
+        sv = StateVector(prep.num_qubits).apply_all(prep.gates)
+        for rotations in range(3):
+            if rotations:
+                sv.apply_all(grover.gates)
+            simulated = sv.marginal(range(form.num_vars))
+            expected = engine.variable_distribution(threshold, rotations)
+            np.testing.assert_allclose(simulated, expected, rtol=0, atol=1e-9)
 
     @pytest.mark.slow
     def test_hubo_step_matches_analytic_probabilities(self):
