@@ -13,28 +13,42 @@ Register layout and conventions, fixed here and relied on everywhere:
   2^r * (2*pi*a / 2^m), reduced to [-pi, pi).  The inverse Fourier transform
   then turns the accumulated phases into the binary value of E(x) - y.
 
-Gates are immutable (kind, qubits, angle) tuple records.  For controlled
-kinds (cphase, crz, cry, cnot) the last listed qubit is the target and the
-rest are controls; "phase" is the diagonal [[1, 0], [0, e^{i*theta}]] gate
-and "rz" its traceless twin.  h, x, z, ry, phase and rz act on exactly one
+A gate is read and written as an immutable (kind, qubits, angle) tuple
+record, Gate, with int qubits and a float angle.  For controlled kinds
+(cphase, crz, cry, cnot) the last listed qubit is the target and the rest
+are controls; "phase" is the diagonal [[1, 0], [0, e^{i*theta}]] gate and
+"rz" its traceless twin.  h, x, z, ry, phase and rz act on exactly one
 qubit, swap and cnot on exactly two, and cry, cphase and crz on at least two.
 
+A Circuit stores its gates as four columns (GateColumns): a kind code per
+gate (its index in KIND_NAMES), a qubit count per gate, all qubits in one
+flat array, and an angle per gate (NaN where the kind takes none).  The
+builders, the adjoint, the Rz substitution and count_gates work on whole
+columns with numpy; a phase ladder of t terms over m value qubits is a few
+array operations, not t*m Python records.  ``Circuit.gates`` is a read-only
+sequence view that produces Gate records (int qubits, float angles) on
+demand, which is what the simulator and the serializer read.
+
 Validation happens where an invariant is introduced, once.  ``Gate(...)``
-checks kind, arity, distinct integer qubits and the angle.  The phase
-ladder checks each term's qubits once and emits its m gates without
-re-checking them, and the adjoint and Rz substitutions derive their gates
-from already checked ones.  ``Circuit`` checks that it holds Gate records
-and range-checks all their qubits with one min and one max.
+checks kind, arity, distinct integer qubits and the angle, and stores the
+angle as a float.  The phase ladder checks the value register and that no
+term touches it (a polynomial's terms hold distinct variables by
+construction); the adjoint and the Rz substitution derive their columns
+from already checked ones.  ``Circuit`` checks its register sizes, that a
+gate list holds Gate records, and range-checks all qubits with one min and
+one max over the flat column.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from functools import partial
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +64,18 @@ _ARITY: dict[str, tuple[int, int | None]] = {
     **dict.fromkeys(("cry", "cphase", "crz"), (2, None)),
 }
 GATE_KINDS = frozenset(_ARITY)
+# A circuit's kind column holds each gate's index in this tuple.
+KIND_NAMES = tuple(_ARITY)
+_CODE = {kind: code for code, kind in enumerate(KIND_NAMES)}
 _CONTROLLED = frozenset({"cnot", "cry", "cphase", "crz"})
 _PARAMETRIC = frozenset({"phase", "rz", "ry", "cry", "cphase", "crz"})
+
+
+def _kinds_table(*kinds: str) -> np.ndarray:
+    """Boolean table over kind codes, True at the given kinds: table[kind_column] tests each gate."""
+    table = np.zeros(len(KIND_NAMES), dtype=bool)
+    table[[_CODE[kind] for kind in kinds]] = True
+    return table
 
 
 # Largest number of states (or amplitudes) that is ever enumerated, tabulated or simulated.
@@ -62,13 +86,22 @@ class SpaceScaleError(ValueError):
     """Raised when a search space is too large to enumerate or simulate."""
 
 
+def _qubit_index(q) -> int:
+    try:
+        return int(operator.index(q))
+    except TypeError:
+        raise ValueError(f"qubit {q!r} is not an integer") from None
+
+
 class Gate(tuple):
     """One gate, the immutable tuple record (kind, qubits, angle).
 
     The constructor is the one validating path: it raises ValueError for an
-    unknown kind, a qubit count the kind does not take, a repeated qubit, a
+    unknown kind, a qubit that is not an integer (numpy integers are
+    accepted), a qubit count the kind does not take, a repeated qubit, a
     missing or non-finite angle on a parametric kind, or an angle on any
-    other kind.  Qubits are stored as a tuple of ints.
+    other kind.  Qubits are stored as a tuple of ints and the angle as a
+    float.
     """
 
     __slots__ = ()
@@ -76,7 +109,7 @@ class Gate(tuple):
     def __new__(cls, kind: str, qubits: Iterable[int], angle: float | None = None) -> "Gate":
         if kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
-        qubits = tuple(int(q) for q in qubits)
+        qubits = tuple(map(_qubit_index, qubits))
         least, most = _ARITY[kind]
         if len(qubits) < least or (most is not None and len(qubits) > most):
             takes = f"exactly {least}" if least == most else f"at least {least}"
@@ -86,6 +119,7 @@ class Gate(tuple):
         if kind in _PARAMETRIC:
             if angle is None or not math.isfinite(angle):
                 raise ValueError(f"gate {kind} needs a finite angle")
+            angle = float(angle)
         elif angle is not None:
             raise ValueError(f"gate {kind} takes no angle")
         return tuple.__new__(cls, (kind, qubits, angle))
@@ -109,39 +143,199 @@ class Gate(tuple):
         return self[1][:-1] if self[0] in _CONTROLLED else ()
 
 
-def gate_outside(gates: Sequence[Gate], num_qubits: int) -> Gate | None:
-    """First gate with a qubit outside [0, num_qubits), or None.
+class GateColumns(NamedTuple):
+    """A gate list as columns: kind codes (int8), qubit counts and flat qubits (intp), angles."""
 
-    All qubits are checked with one min and one max over the flat list; the
-    gates are searched only when one is out of range.
+    kind: np.ndarray
+    size: np.ndarray
+    qubits: np.ndarray
+    angle: np.ndarray
+
+
+def _qubit_columns(qubit_tuples: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Qubit count per gate and the flat qubit array; ValueError for a qubit beyond int64."""
+    size = np.fromiter(map(len, qubit_tuples), np.intp, len(qubit_tuples))
+    try:
+        flat = np.fromiter(chain.from_iterable(qubit_tuples), np.intp, int(size.sum()))
+    except OverflowError:
+        raise ValueError("gate qubit outside the int64 range") from None
+    return size, flat
+
+
+def _columns_of(gates: Sequence[Gate]) -> GateColumns:
+    """Columns of a list of Gate records."""
+    kinds, qubits, angles = zip(*gates) if gates else ((), (), ())
+    size, flat = _qubit_columns(qubits)
+    return GateColumns(
+        np.fromiter(map(_CODE.__getitem__, kinds), np.int8, len(kinds)),
+        size,
+        flat,
+        np.array([math.nan if a is None else a for a in angles], dtype=np.float64),
+    )
+
+
+def _join(*parts: GateColumns) -> GateColumns:
+    """The gate lists one after the other."""
+    return GateColumns(*map(np.concatenate, zip(*parts)))
+
+
+def _adjoint(columns: GateColumns) -> GateColumns:
+    """Adjoint of a gate list: reversed gate order, each gate's qubits kept, angles negated."""
+    kind, size, qubits, angle = columns
+    back = size[::-1]
+    # Reversed gate g starts at old offset starts[::-1][g]; its new offset is new_starts[g].
+    starts = np.cumsum(size) - size
+    new_starts = np.cumsum(back) - back
+    gather = np.arange(qubits.size) + np.repeat(starts[::-1] - new_starts, back)
+    return GateColumns(kind[::-1], back, qubits[gather], -angle[::-1])
+
+
+_record = partial(tuple.__new__, Gate)
+
+
+def _records(columns: GateColumns) -> list[Gate]:
+    """Gate records of the columns, with int qubits and float angles (None for NaN)."""
+    kind, size, qubits, angle = columns
+    flat = iter(qubits.tolist())
+    return list(map(_record, zip(
+        map(KIND_NAMES.__getitem__, kind.tolist()),
+        [tuple(islice(flat, s)) for s in size.tolist()],
+        [None if a != a else a for a in angle.tolist()],
+    )))
+
+
+def _first_outside(size: np.ndarray, flat: np.ndarray, num_qubits: int) -> int | None:
+    """Index of the first gate with a qubit outside [0, num_qubits), or None.
+
+    All qubits are checked with one min and one max over the flat column;
+    the gates are searched only when one is out of range.
     """
-    flat = list(chain.from_iterable(map(itemgetter(1), gates)))
-    if flat and (min(flat) < 0 or max(flat) >= num_qubits):
-        return next(g for g in gates if min(g[1]) < 0 or max(g[1]) >= num_qubits)
-    return None
+    if not flat.size or (flat.min() >= 0 and flat.max() < num_qubits):
+        return None
+    first_bad = int(np.argmax((flat < 0) | (flat >= num_qubits)))
+    return int(np.searchsorted(np.cumsum(size), first_bad, side="right"))
 
 
-# Builds a Gate without Gate.__new__'s checks: only for gates whose fields come
-# from checked gates or from a ladder term checked once (phase_polynomial_gates).
-_trusted = tuple.__new__
+def gate_outside(gates: Sequence[Gate], num_qubits: int) -> Gate | None:
+    """First gate with a qubit outside [0, num_qubits), or None."""
+    index = _first_outside(*_qubit_columns([gate[1] for gate in gates]), num_qubits)
+    return None if index is None else gates[index]
 
 
-@dataclass(frozen=True)
+class GateSequence(Sequence):
+    """Read-only sequence view of a circuit's gate columns.
+
+    ``len`` is O(1).  Integer and slice indexing and iteration produce Gate
+    records on demand, in blocks, without keeping them; a slice is a tuple.
+    Compare circuits, not their views.
+    """
+
+    __slots__ = ("_columns", "_offsets")
+    _BLOCK = 4096
+
+    def __init__(self, columns: GateColumns):
+        self._columns = columns
+        self._offsets: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self._columns.kind)
+
+    def _span(self, start: int, stop: int) -> list[Gate]:
+        if self._offsets is None:
+            self._offsets = np.concatenate(([0], np.cumsum(self._columns.size)))
+        kind, size, qubits, angle = self._columns
+        lo, hi = self._offsets[start], self._offsets[stop]
+        return _records(GateColumns(
+            kind[start:stop], size[start:stop], qubits[lo:hi], angle[start:stop]
+        ))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            positions = range(*index.indices(len(self)))
+            if not positions:
+                return ()
+            lo = min(positions[0], positions[-1])
+            gates = self._span(lo, max(positions[0], positions[-1]) + 1)
+            return tuple(gates[i - lo] for i in positions)
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("gate index out of range")
+        return self._span(i, i + 1)[0]
+
+    def __iter__(self):
+        for start in range(0, len(self), self._BLOCK):
+            yield from self._span(start, min(start + self._BLOCK, len(self)))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} gates>"
+
+
+def _columns_equal(a: GateColumns, b: GateColumns) -> bool:
+    return all(
+        np.array_equal(x, y, equal_nan=x.dtype.kind == "f") for x, y in zip(a, b)
+    )
+
+
 class Circuit:
-    """Ordered gate list over a variable register and an optional value register."""
+    """Ordered gates over a variable register and an optional value register.
 
-    num_vars: int
-    num_value: int
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
+    ``Circuit(num_vars, num_value, gates)`` takes a list of Gate records and
+    stores them as GateColumns (``columns``); ``gates`` is a read-only
+    sequence view producing the records back.  Raises ValueError for a
+    negative register size or a qubit outside the registers and TypeError
+    for a gate that is not a Gate record.  Circuits are immutable and equal
+    when their registers and columns are (NaN angles compare equal).
+    """
 
-    def __post_init__(self) -> None:
-        gates = tuple(self.gates)
-        object.__setattr__(self, "gates", gates)
+    __slots__ = ("num_vars", "num_value", "columns", "gates")
+
+    def __init__(self, num_vars: int, num_value: int, gates: Iterable[Gate] = ()):
+        gates = tuple(gates)
         if not set(map(type, gates)) <= {Gate}:
             raise TypeError("circuit gates must be Gate records")
-        bad = gate_outside(gates, self.num_qubits)
+        self._set(num_vars, num_value, _columns_of(gates))
+
+    @classmethod
+    def _from_columns(cls, num_vars: int, num_value: int, columns: GateColumns) -> "Circuit":
+        """Circuit over columns derived from checked gates; registers and qubit ranges are checked."""
+        circuit = object.__new__(cls)
+        circuit._set(num_vars, num_value, columns)
+        return circuit
+
+    def _set(self, num_vars: int, num_value: int, columns: GateColumns) -> None:
+        if num_vars < 0 or num_value < 0:
+            raise ValueError(f"register sizes must be >= 0, got {num_vars} and {num_value}")
+        for column in columns:
+            column.flags.writeable = False
+        setter = partial(object.__setattr__, self)
+        setter("num_vars", num_vars)
+        setter("num_value", num_value)
+        setter("columns", columns)
+        setter("gates", GateSequence(columns))
+        bad = _first_outside(columns.size, columns.qubits, self.num_qubits)
         if bad is not None:
-            raise ValueError(f"gate {bad} outside {self.num_qubits}-qubit register")
+            raise ValueError(f"gate {self.gates[bad]} outside {self.num_qubits}-qubit register")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Circuit is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return (
+            (self.num_vars, self.num_value) == (other.num_vars, other.num_value)
+            and _columns_equal(self.columns, other.columns)
+        )
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return (Circuit, (self.num_vars, self.num_value, tuple(self.gates)))
+
+    def __repr__(self) -> str:
+        return f"Circuit(num_vars={self.num_vars}, num_value={self.num_value}, gates={self.gates!r})"
 
     @property
     def num_qubits(self) -> int:
@@ -170,11 +364,15 @@ def reduce_angle(theta: float) -> float:
 
 def invert_gates(gates: Sequence[Gate]) -> list[Gate]:
     """Adjoint of a gate list: reversed order, parametric angles negated."""
-    out = []
-    for gate in reversed(gates):
-        kind, qubits, angle = gate
-        out.append(gate if angle is None else _trusted(Gate, (kind, qubits, -angle)))
-    return out
+    return _records(_adjoint(_columns_of(gates)))
+
+
+def _register_split(columns: GateColumns, num_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per gate: how many of its qubits lie in the value register, and whether its target does."""
+    in_value = columns.qubits >= num_vars
+    ends = np.cumsum(columns.size)
+    value_count = np.add.reduceat(in_value, ends - columns.size, dtype=np.intp)
+    return value_count, in_value[ends - 1]
 
 
 def substitute_rz(circuit: Circuit) -> Circuit:
@@ -187,16 +385,15 @@ def substitute_rz(circuit: Circuit) -> Circuit:
     inside the inverse Fourier transform or the diffusion reflection take
     part in later interference and are left alone.
     """
-    n = circuit.num_vars
-    swapped = []
-    for gate in circuit.gates:
-        kind, qubits, angle = gate
-        if kind == "phase":
-            gate = _trusted(Gate, ("rz", qubits, angle))
-        elif kind == "cphase" and qubits[-1] >= n and max(qubits[:-1]) < n:
-            gate = _trusted(Gate, ("crz", qubits, angle))
-        swapped.append(gate)
-    return Circuit(circuit.num_vars, circuit.num_value, swapped)
+    columns = circuit.columns
+    value_count, target_in_value = _register_split(columns, circuit.num_vars)
+    kind = columns.kind.copy()
+    term = (kind == _CODE["cphase"]) & target_in_value & (value_count == 1)
+    kind[kind == _CODE["phase"]] = _CODE["rz"]
+    kind[term] = _CODE["crz"]
+    return Circuit._from_columns(
+        circuit.num_vars, circuit.num_value, columns._replace(kind=kind)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +610,22 @@ def phase_polynomial_gates(
 
     Emits m rotations per term, ordered constant first and then by ascending
     order and variable tuple, so the circuit layout mirrors the objective.
-    Each term's qubits are checked once (distinct, and its variables off
-    the value register), then its m gates are emitted without re-checking.
+    Raises ValueError for a repeated value qubit, a term on the value
+    register or a non-finite angle.
     """
-    value_qubits = tuple(int(q) for q in value_qubits)
+    return _records(_ladder_columns(poly, value_qubits, shift))
+
+
+def _ladder_columns(
+    poly: MultilinearPolynomial, value_qubits: Sequence[int], shift: float
+) -> GateColumns:
+    """The phase ladder of phase_polynomial_gates as columns.
+
+    Terms are sorted by order, so the terms of each order k form one block:
+    its (terms, m, k + 1) qubit array holds each term's controls repeated m
+    times with the value qubits tiled after them as targets.
+    """
+    value_qubits = tuple(map(_qubit_index, value_qubits))
     m = len(value_qubits)
     value_set = set(value_qubits)
     if len(value_set) != m:
@@ -428,18 +637,25 @@ def phase_polynomial_gates(
     if constant != 0.0:
         keys.insert(0, ())
         values.insert(0, constant)
-    targets = [(q,) for q in value_qubits]
-    gates: list[Gate] = []
-    for controls, angles in zip(keys, _ladder_angles(values, m)):
-        if len(set(controls)) != len(controls) or not value_set.isdisjoint(controls):
-            raise ValueError(f"term {controls} repeats a qubit or overlaps the value register")
-        kind = "cphase" if controls else "phase"
-        records = zip(repeat(kind), map(controls.__add__, targets), angles)
-        gates += map(_trusted, repeat(Gate), records)
-    return gates
+    if not value_set.isdisjoint(chain.from_iterable(keys)):
+        bad = next(key for key in keys if not value_set.isdisjoint(key))
+        raise ValueError(f"term {bad} overlaps the value register")
+    angles = _ladder_angles(values, m)
+    order, controls = _qubit_columns(keys)
+    size = np.repeat(order + 1, m)
+    qubits = np.empty(int(size.sum()), dtype=np.intp)
+    start = end = 0
+    for k, count in enumerate(np.bincount(order).tolist()):
+        block = qubits[end : end + count * m * (k + 1)].reshape(count, m, k + 1)
+        block[:, :, :k] = controls[start : start + count * k].reshape(count, 1, k)
+        block[:, :, k] = value_qubits
+        start += count * k
+        end += block.size
+    kind = np.where(size > 1, _CODE["cphase"], _CODE["phase"]).astype(np.int8)
+    return GateColumns(kind, size, qubits, angles.ravel())
 
 
-def _ladder_angles(coeffs: Sequence[float], m: int) -> list[list[float]]:
+def _ladder_angles(coeffs: Sequence[float], m: int) -> np.ndarray:
     """Row a, column r: reduce_angle(2^r * (2*pi*a / 2^m)), bit for bit, in one numpy pass.
 
     fmod is exact and so are the products by powers of two, so the numpy
@@ -454,7 +670,7 @@ def _ladder_angles(coeffs: Sequence[float], m: int) -> list[list[float]]:
     high, low = angles >= math.pi, angles < -math.pi
     angles[high] -= TWO_PI
     angles[low] += TWO_PI
-    return angles.tolist()
+    return angles
 
 
 def build_state_prep(
@@ -486,11 +702,12 @@ def build_state_prep(
     value_qubits = list(range(n, n + width))
     gates.extend(Gate("h", (q,)) for q in value_qubits)
     scaled = form.poly.scaled(Fraction(scale).limit_denominator(10**9))
-    gates.extend(
-        phase_polynomial_gates(scaled, n, value_qubits, shift=-scale * threshold)
+    columns = _join(
+        _columns_of(gates),
+        _ladder_columns(scaled, value_qubits, -scale * threshold),
+        _adjoint(_columns_of(qft_gates(value_qubits))),
     )
-    gates.extend(iqft_gates(value_qubits))
-    return Circuit(n, width, gates)
+    return Circuit._from_columns(n, width, columns)
 
 
 def build_grover_operator(prep: Circuit) -> Circuit:
@@ -500,14 +717,17 @@ def build_grover_operator(prep: Circuit) -> Circuit:
     reflection about the all-zeros state, and the preparation again.  The
     middle reflection equals 2|0><0| - 1 up to a global phase.
     """
-    gates: list[Gate] = [Gate("z", (prep.sign_qubit,))]
-    gates.extend(invert_gates(prep.gates))
     all_qubits = tuple(range(prep.num_qubits))
-    gates.extend(Gate("x", (q,)) for q in all_qubits)
-    gates.append(Gate("cphase", all_qubits, math.pi))
-    gates.extend(Gate("x", (q,)) for q in all_qubits)
-    gates.extend(prep.gates)
-    return Circuit(prep.num_vars, prep.num_value, gates)
+    flips = _columns_of([Gate("x", (q,)) for q in all_qubits])
+    columns = _join(
+        _columns_of([Gate("z", (prep.sign_qubit,))]),
+        _adjoint(prep.columns),
+        flips,
+        _columns_of([Gate("cphase", all_qubits, math.pi)]),
+        flips,
+        prep.columns,
+    )
+    return Circuit._from_columns(prep.num_vars, prep.num_value, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -676,31 +896,38 @@ def ladder_cnots(terms_per_rank: dict[int, int], m: int, model: str) -> int:
     raise ValueError(f"unknown cost model {model!r}")
 
 
+_PHASE_LIKE = _kinds_table("phase", "cphase", "rz", "crz")
+_CONTROLLED_PHASE = _kinds_table("cphase", "crz")
+_SINGLE_PHASE = _kinds_table("phase", "rz")
+
+
+def _tally(values: np.ndarray) -> dict[int, int]:
+    """Count of each value (non-negative ints), keyed in order of first appearance."""
+    counts = np.bincount(values)
+    present = np.flatnonzero(counts).tolist()
+    first = [int(np.argmax(values == v)) for v in present]
+    return {v: int(counts[v]) for _, v in sorted(zip(first, present))}
+
+
 def count_gates(circuit: Circuit) -> GateCounts:
     """Tally a circuit and price its term gates under both cost models.
 
     CNOTs follow ladder_cnots.  Rotations: under model "rz" a ladder costs
     m traceless rotations, under model "r" every k-controlled rotation costs
-    2^k of them.  Each gate is classified once, by column: its kind, its
-    qubit count, how many of its qubits lie in the value register and
-    whether its target does.
+    2^k of them.  Each gate is classified once, on the circuit's columns:
+    its kind, its qubit count, how many of its qubits lie in the value
+    register and whether its target does.  Every dict keeps the order in
+    which its keys first appear in the circuit.
     """
     n, m = circuit.num_vars, circuit.num_value
-    kinds = list(map(itemgetter(0), circuit.gates))
-    qubits = list(map(itemgetter(1), circuit.gates))
-    sizes = np.fromiter(map(len, qubits), np.intp, len(qubits))
-    ends = np.cumsum(sizes)
-    in_value = np.fromiter(chain.from_iterable(qubits), np.intp, int(sizes.sum())) >= n
-    value_count = np.add.reduceat(in_value, ends - sizes, dtype=np.intp)
-    target_in_value = in_value[ends - 1]
-    kind = np.array(kinds, dtype=str)
-    phase_like = np.isin(kind, ("phase", "cphase", "rz", "crz"))
-    first_phase = int(np.argmax(phase_like)) if phase_like.any() else len(kinds)
-    controlled_phase = (kind == "cphase") | (kind == "crz")
+    kind, size, _, _ = circuit.columns
+    value_count, target_in_value = _register_split(circuit.columns, n)
+    phase_like = _PHASE_LIKE[kind]
+    first_phase = int(np.argmax(phase_like)) if phase_like.any() else kind.size
+    controlled_phase = _CONTROLLED_PHASE[kind]
     term = controlled_phase & target_in_value & (value_count == 1)
-    # Counter keeps first appearance order, as the per-gate tallies did.
-    hist = dict(Counter((sizes[term] - 1).tolist()))
-    constant_gates = np.count_nonzero(((kind == "phase") | (kind == "rz")) & target_in_value)
+    hist = _tally(size[term] - 1)
+    constant_gates = np.count_nonzero(_SINGLE_PHASE[kind] & target_in_value)
     if m:
         for k, gates_k in hist.items():
             if gates_k % m:
@@ -714,12 +941,12 @@ def count_gates(circuit: Circuit) -> GateCounts:
     return GateCounts(
         num_qubits=circuit.num_qubits,
         num_value=m,
-        kind_totals=dict(Counter(kinds)),
+        kind_totals={KIND_NAMES[code]: total for code, total in _tally(kind).items()},
         term_rank_histogram=hist,
-        initial_hadamard_count=kinds[:first_phase].count("h"),
-        iqft_cphase_count=int(np.count_nonzero(controlled_phase & (value_count == sizes))),
-        init_cnot_count=int(np.count_nonzero((kind == "cnot") & (value_count == 0))),
-        init_controlled_ry=dict(Counter((sizes[kind == "cry"] - 1).tolist())),
+        initial_hadamard_count=int(np.count_nonzero(kind[:first_phase] == _CODE["h"])),
+        iqft_cphase_count=int(np.count_nonzero(controlled_phase & (value_count == size))),
+        init_cnot_count=int(np.count_nonzero((kind == _CODE["cnot"]) & (value_count == 0))),
+        init_controlled_ry=_tally(size[kind == _CODE["cry"]] - 1),
         cnot_r_model=cnot_r,
         cnot_rz_model=cnot_rz,
         rotations_r_model=rot_r,
@@ -748,7 +975,13 @@ def circuit_from_text(text: str) -> Circuit:
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or not lines[0][1].startswith("circuit "):
         raise ValueError("missing circuit header line")
-    _, n, m = lines[0][1].split()
+    number, header = lines[0]
+    try:
+        n, m = map(int, header.split()[1:])
+    except ValueError:
+        raise ValueError(
+            f"line {number}: header must be 'circuit <num_vars> <num_value>': {header!r}"
+        ) from None
     gates = []
     for number, ln in lines[1:]:
         parts = ln.split()
@@ -760,4 +993,4 @@ def circuit_from_text(text: str) -> Circuit:
             gates.append(Gate(parts[0], qubits, float(parts[2]) if fields == 3 else None))
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}: {ln!r}") from exc
-    return Circuit(int(n), int(m), gates)
+    return Circuit(n, m, gates)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -763,3 +764,201 @@ class TestCountGatesReference:
             assert count_gates(substitute_rz(circuit)) == _reference_counts(substitute_rz(circuit))
             compared += 1
         assert compared >= 50
+
+
+# Per-gate references: the record-by-record ladder emitter, adjoint and Rz
+# substitution that the column store replaced, kept to pin its output.
+def _reference_ladder(poly, value_qubits, shift):
+    value_qubits = tuple(value_qubits)
+    coeffs = dict(poly.float_terms())
+    constant = shift + coeffs.pop((), 0.0)
+    keys = sorted(coeffs, key=lambda k: (len(k), k))
+    values = [coeffs[key] for key in keys]
+    if constant != 0.0:
+        keys.insert(0, ())
+        values.insert(0, constant)
+    m = len(value_qubits)
+    gates = []
+    for controls, a in zip(keys, values):
+        kind = "cphase" if controls else "phase"
+        for r, target in enumerate(value_qubits):
+            angle = reduce_angle((1 << r) * (TWO_PI * a / (1 << m)))
+            gates.append(tuple.__new__(Gate, (kind, controls + (target,), angle)))
+    return gates
+
+
+def _reference_invert(gates):
+    out = []
+    for gate in reversed(gates):
+        kind, qubits, angle = gate
+        out.append(gate if angle is None else tuple.__new__(Gate, (kind, qubits, -angle)))
+    return out
+
+
+def _reference_substitute(gates, n):
+    swapped = []
+    for gate in gates:
+        kind, qubits, angle = gate
+        if kind == "phase":
+            gate = tuple.__new__(Gate, ("rz", qubits, angle))
+        elif kind == "cphase" and qubits[-1] >= n and max(qubits[:-1]) < n:
+            gate = tuple.__new__(Gate, ("crz", qubits, angle))
+        swapped.append(gate)
+    return swapped
+
+
+def _reference_prep(form, width):
+    n = form.num_vars
+    gates = []
+    if form.kind is FormulationKind.QUBO_DICKE:
+        block = form.row_width
+        for i in range(form.size_n):
+            gates.extend(dicke_gates(list(range(i * block, (i + 1) * block)), 1))
+    else:
+        gates.extend(Gate("h", (q,)) for q in range(n))
+    value_qubits = list(range(n, n + width))
+    gates.extend(Gate("h", (q,)) for q in value_qubits)
+    gates.extend(_reference_ladder(form.poly, value_qubits, 0.0))
+    gates.extend(_reference_invert(qft_gates(value_qubits)))
+    return gates
+
+
+def _reference_grover(prep_gates, num_qubits):
+    everything = tuple(range(num_qubits))
+    flips = [Gate("x", (q,)) for q in everything]
+    return [Gate("z", (num_qubits - 1,)), *_reference_invert(prep_gates), *flips,
+            Gate("cphase", everything, math.pi), *flips, *prep_gates]
+
+
+def _assert_same_records(gates, reference):
+    gates = list(gates)
+    # repr tells -0.0 from 0.0 and a numpy scalar from a Python number.
+    assert list(map(repr, gates)) == list(map(repr, reference))
+    assert all(type(g) is Gate for g in gates)
+    assert all(type(q) is int for g in gates for q in g.qubits)
+    assert all(type(g.angle) is float for g in gates if g.angle is not None)
+
+
+class TestColumnStore:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_records_equal_per_gate_reference(self, kind, n):
+        form = encode(generic_instance(n, 100 + n), kind)
+        width = register_widths(n, kind)[1]
+        prep = build_state_prep(form, width)
+        grover = build_grover_operator(prep)
+        reference = _reference_prep(form, width)
+        reference_grover = _reference_grover(reference, prep.num_qubits)
+        _assert_same_records(prep.gates, reference)
+        _assert_same_records(grover.gates, reference_grover)
+        _assert_same_records(
+            substitute_rz(grover).gates, _reference_substitute(reference_grover, form.num_vars)
+        )
+
+    def test_ladder_and_adjoint_equal_references(self):
+        rng = np.random.default_rng(5)
+        poly = MultilinearPolynomial(5, {(): 0.5, (1,): -2.25, (0, 3): 7.0, (2, 3, 4): 1e5})
+        _assert_same_records(phase_polynomial_gates(poly, 5, [5, 6, 7], shift=-0.75),
+                             _reference_ladder(poly, (5, 6, 7), -0.75))
+        assert phase_polynomial_gates(MultilinearPolynomial(2), 2, [2, 3]) == []
+        for trial in range(20):
+            gates = list(_random_counting_circuit(rng, 1 + trial % 5, 1 + trial % 4).gates)
+            _assert_same_records(invert_gates(gates), _reference_invert(gates))
+        assert invert_gates([]) == []
+
+    def test_view(self):
+        gates = [Gate("h", (0,)), Gate("cphase", (2, 0, 1), -0.5), Gate("swap", (1, 2)),
+                 Gate("ry", (2,), 0.0), Gate("cry", (0, 1, 2), 1.5)]
+        view = Circuit(3, 0, gates).gates
+        assert len(view) == 5 and len(Circuit(3, 0).gates) == 0
+        assert list(view) == gates and tuple(view) == tuple(gates)
+        assert view[1] == gates[1] and view[-1] == gates[-1] and view[-5] == gates[0]
+        assert view[1:4] == tuple(gates[1:4]) and view[::-2] == tuple(gates[::-2])
+        assert view[4:1] == () and view[-2:] == tuple(gates[-2:])
+        assert view[np.int64(2)] == gates[2]
+        for index in (5, -6):
+            with pytest.raises(IndexError):
+                view[index]
+        assert type(view[3].angle) is float and view[0].angle is None
+
+    def test_circuit_equality(self):
+        gates = [Gate("h", (0,)), Gate("phase", (1,), 0.25), Gate("cnot", (0, 1))]
+        circuit = Circuit(1, 1, gates)
+        # h and cnot carry NaN in the angle column: equal circuits still compare equal.
+        assert circuit == Circuit(1, 1, gates) == circuit_from_text(circuit_to_text(circuit))
+        assert circuit != Circuit(2, 0, gates)
+        assert circuit != Circuit(1, 1, gates[:2])
+        assert circuit != Circuit(1, 1, [gates[0], Gate("phase", (1,), 0.5), gates[2]])
+        assert circuit != Circuit(1, 1, [gates[0], Gate("rz", (1,), 0.25), gates[2]])
+        assert circuit != Circuit(1, 1, [gates[0], gates[1], Gate("cnot", (1, 0))])
+        assert circuit != gates
+        assert pickle.loads(pickle.dumps(circuit)) == circuit
+        with pytest.raises(AttributeError):
+            circuit.num_vars = 2
+
+    def test_tallies_keep_first_appearance_order(self):
+        rng = np.random.default_rng(17)
+        circuits = [build_dicke(7, 3), build_state_prep(encode(generic_instance(3, 4), "hubo-hw"), 9)]
+        circuits += [_random_counting_circuit(rng, 1 + t % 5, 1) for t in range(40)]
+        for circuit in circuits:
+            counts, expected = count_gates(circuit), _reference_counts(circuit)
+            for field in ("kind_totals", "term_rank_histogram", "init_controlled_ry"):
+                assert list(getattr(counts, field).items()) == list(getattr(expected, field).items())
+
+    def test_build_and_count_memory_per_gate(self):
+        # The tuple-record builder peaked near 252 B per gate here; the columns
+        # with their temporaries stay below half of that.
+        form = encode(generic_instance(8, 108), "qubo-h")
+        width = register_widths(8, "qubo-h")[1]
+        tracemalloc.start()
+        try:
+            prep = build_state_prep(form, width)
+            count_gates(prep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * len(prep.gates)
+
+
+class TestGateInputs:
+    @pytest.mark.parametrize("angle", [np.float64(0.1), np.float32(0.1), np.int64(2), 3])
+    def test_angle_stored_as_float(self, angle):
+        gate = Gate("phase", (0,), angle)
+        assert type(gate.angle) is float and gate.angle == float(angle)
+
+    @pytest.mark.parametrize("angle", [np.float64(0.5), np.float32(0.1), np.float64(-1e-300)])
+    def test_numpy_angle_roundtrips_through_text(self, angle):
+        circuit = Circuit(2, 1, [Gate("h", (0,)), Gate("phase", (2,), angle),
+                                 Gate("cphase", (0, 1, 2), angle)])
+        text = circuit_to_text(circuit)
+        assert "np." not in text
+        assert circuit_from_text(text) == circuit
+
+    @pytest.mark.parametrize("qubit", [1.7, 1.0, np.float64(1.0), "1", None])
+    def test_non_integer_qubit_rejected(self, qubit):
+        with pytest.raises(ValueError, match="not an integer"):
+            Gate("cnot", (0, qubit))
+
+    def test_numpy_integer_qubits_accepted(self):
+        gate = Gate("cnot", (np.int32(0), np.uint8(1)))
+        assert gate.qubits == (0, 1) and all(type(q) is int for q in gate.qubits)
+
+    def test_qubit_beyond_int64_is_outside(self):
+        with pytest.raises(ValueError, match="outside"):
+            Circuit(1, 0, [Gate("h", (1 << 70,))])
+
+
+class TestRegisterSizes:
+    @pytest.mark.parametrize("num_vars, num_value", [(-1, -3), (-1, 0), (2, -1)])
+    def test_negative_registers_rejected(self, num_vars, num_value):
+        with pytest.raises(ValueError, match=">= 0"):
+            Circuit(num_vars, num_value, [])
+
+    @pytest.mark.parametrize("header", ["circuit 1", "circuit 1 x", "circuit 1 2 3", "circuit 1.5 0"])
+    def test_bad_header_names_line_one(self, header):
+        with pytest.raises(ValueError, match="line 1"):
+            circuit_from_text(f"{header}\nh 0\n")
+
+    def test_negative_header_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            circuit_from_text("circuit -1 0\n")
