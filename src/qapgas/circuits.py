@@ -42,10 +42,12 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Sequence
+import os
+import threading
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, islice
 from operator import itemgetter
 from typing import NamedTuple
@@ -432,11 +434,66 @@ def objective_denominator(form: Formulation) -> int:
     ValueError when denominator * sum|c| reaches 2^53, where those integers,
     and the floats divided from them, would no longer be exact.
     """
-    coeffs = [Fraction(c) for c in form.poly.terms.values()]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    if max(den, den * sum(abs(c) for c in coeffs)) >= 2**53:
+    return _integer_terms(form)[0]
+
+
+def _integer_terms(form: Formulation) -> tuple[int, list[int]]:
+    """objective_denominator and den * c of every term, in form.poly.terms order.
+
+    The exact arithmetic runs once per formulation (Formulation keeps it);
+    the 2^53 guard is checked on every call.
+    """
+    den, numerators = form._integer_terms
+    if max(den, sum(map(abs, numerators))) >= 2**53:
         raise ValueError("coefficients' common denominator is too large for exact float64 values")
-    return den
+    return den, numerators
+
+
+# Entries per block of SearchSpace's block-wise build passes; a space of at most one block
+# is built in one part (_index_parts).
+_INDEX_BLOCK = 1 << 16
+
+
+def _index_parts(size: int) -> int:
+    """Parts (1 or 2) that each O(size) pass of an index build over `size` states runs as.
+
+    Two when the space spans more than one _INDEX_BLOCK and this process may run
+    on at least two cores; otherwise one, with no partition and no thread.
+    """
+    if size <= _INDEX_BLOCK:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return 2 if cores >= 2 else 1
+
+
+def _run_parts(task: Callable[[int], object], parts: int) -> None:
+    """Run task(0), ..., task(parts - 1): part 0 in the caller, every other part on a thread.
+
+    The parts run at the same time where task releases the GIL, as numpy's
+    array passes do.  Every thread is joined before this returns or raises,
+    and an exception raised in a worker part is re-raised here.
+    """
+    errors: list[BaseException] = []
+
+    def work(part: int) -> None:
+        try:
+            task(part)
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=(part,)) for part in range(1, parts)]
+    for worker in workers:
+        worker.start()
+    try:
+        task(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
 
 
 # objective_values folds the rows below the first R^h >= _FOLD_BLOCK into one block, so
@@ -463,34 +520,57 @@ def objective_values(form: Formulation) -> np.ndarray:
     values / den is float(form.poly.evaluate(bits)) bit for bit.  Raises
     SpaceScaleError, before enumerating, when the space exceeds
     EMULATION_SPACE_CAP.
+
+    The table grows one row at a time, in place.  The last row writes all
+    but 1/R of it, so its digits other than 0 are dealt to _index_parts(size)
+    parts that run at the same time (two threads on a space of more than
+    one _INDEX_BLOCK with two usable cores), each with its own increment of
+    at most R * _FOLD_BLOCK entries; digit 0, whose block is the old table,
+    grows after they join.  Integer sums make both part counts bit-identical.
     """
     size = form.space_size
     if size > EMULATION_SPACE_CAP:
         raise SpaceScaleError(f"space of {size} states exceeds the cap {EMULATION_SPACE_CAP}")
     if form.num_vars != form.size_n * form.row_width:
         raise ValueError(f"{form.num_vars} variables do not split into {form.size_n} row blocks")
-    tables = _row_tables(form, objective_denominator(form))
+    tables = _row_tables(form, _integer_terms(form)[1])
     n, radix = tables.shape[1:3]
     folded = next((h for h in range(n) if radix**h >= _FOLD_BLOCK), n)
     table = np.zeros(size, dtype=np.int64)
-    filled = 1
     for k in range(n):
-        # Grow the table by row k's axis, in place: new[d, rest] = old[rest] + inc[low] for
-        # each digit d of row k, where inc holds T_k[d] and the pair tables of the folded
-        # rows below k at d.
         low = min(k, folded)
-        inc = np.empty(radix**low, dtype=np.int64)
-        block = table[:filled].reshape(-1, radix**low)
-        grown = table[: filled * radix].reshape(radix, -1, radix**low)
-        for d in range(radix - 1, -1, -1):  # digit 0 last: its block is the old table
-            inc[:] = tables[k, k, d, 0]
-            for i in range(low):
-                _add_pair(inc, tables[i, k, :, d : d + 1], i, low)
-            np.add(block, inc, out=grown[d])
-        for i in range(low, k):
-            _add_pair(grown, tables[i, k], i, k)
-        filled *= radix
+        # Every digit but 0 reads the old table, which is digit 0's block, so digit 0 grows
+        # last, after the parts have joined.  The last row writes all but 1/R of the table;
+        # its other digits are dealt to _index_parts(size) parts in turn.
+        parts = _index_parts(size) if k == n - 1 else 1
+        _run_parts(
+            lambda part: _grow_row(table, tables, k, low, range(radix - parts + part, 0, -parts)),
+            parts,
+        )
+        _grow_row(table, tables, k, low, (0,))
     return table
+
+
+def _grow_row(table: np.ndarray, tables: np.ndarray, k: int, low: int, digits: Iterable[int]) -> None:
+    """Grow the table by row k's axis at `digits`, in place.
+
+    The table holds rows < k in its first R^k entries (old); block d of the
+    grown table is new[d, rest] = old[rest] + inc[low] + the pair tables of
+    the unfolded rows low..k-1 at d, where inc holds T_k[d] and the pair
+    tables of the folded rows below `low` at d.
+    """
+    radix = tables.shape[2]
+    filled = radix**k
+    block = table[:filled].reshape(-1, radix**low)
+    grown = table[: filled * radix].reshape(radix, -1, radix**low)
+    inc = np.empty(radix**low, dtype=np.int64)
+    for d in digits:
+        inc[:] = tables[k, k, d, 0]
+        for i in range(low):
+            _add_pair(inc, tables[i, k, :, d : d + 1], i, low)
+        np.add(block, inc, out=grown[d])
+        for i in range(low, k):
+            _add_pair(grown[d], tables[i, k, :, d : d + 1], i, k)
 
 
 def _add_pair(table: np.ndarray, pair: np.ndarray, i: int, k: int) -> None:
@@ -500,7 +580,7 @@ def _add_pair(table: np.ndarray, pair: np.ndarray, i: int, k: int) -> None:
     view += pair.T[:, None, :, None]
 
 
-def _row_tables(form: Formulation, den: int) -> np.ndarray:
+def _row_tables(form: Formulation, numerators: Sequence[int]) -> np.ndarray:
     """den * the objective as row-pair tables T[i, k][d_i, d_k], shape (N, N, R, R), i <= k.
 
     A term over rows i < k is seeded in T[i, k] at its two local masks.  A
@@ -511,7 +591,7 @@ def _row_tables(form: Formulation, den: int) -> np.ndarray:
     """
     width = form.row_width
     seeded: list[tuple[int, int, int, int, int]] = []
-    for key, coeff in form.poly.terms.items():
+    for key, num in zip(form.poly.terms, numerators):
         masks: dict[int, int] = {}
         for v in key:
             row, bit = divmod(v, width)
@@ -520,7 +600,7 @@ def _row_tables(form: Formulation, den: int) -> np.ndarray:
             raise ValueError(f"term {key} spans {len(masks)} row blocks; at most two are tabulated")
         (i, mask_i), *other = masks.items() or [(0, 0)]
         k, mask_k = other[0] if other else (i, 0)
-        seeded.append((i, k, mask_i, mask_k, int(Fraction(coeff) * den)))
+        seeded.append((i, k, mask_i, mask_k, num))
     local = sorted({0}.union(*(term[2:4] for term in seeded)))
     column = {m: u for u, m in enumerate(local)}
     patterns = row_digit_bits(form).tolist()
@@ -548,22 +628,33 @@ def dicke_rank_to_bits(form: Formulation, ranks) -> np.ndarray:
 
     Row i's digit is the mixed-radix digit (rank // N^i) % N, as in
     objective_values; its row_digit_bits pattern sits at bit i*N.  The low
-    and the high half of the rows are each looked up in one small table.
+    and the high half of the rows are each looked up in one small table,
+    built once per N.
     """
     n = form.size_n
-    patterns = row_digit_bits(form)
+    split = n // 2
+    low_rows, high_rows = _dicke_half_tables(n)
+    ranks = np.asarray(ranks)
+    flat = ranks.reshape(-1)
+    high = flat // n**split
+    bits = high_rows[high]
+    bits |= low_rows[np.remainder(flat, n**split, out=high)]
+    return bits.reshape(ranks.shape)
+
+
+@lru_cache(maxsize=None)
+def _dicke_half_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only bitmasks of rows [0, n//2) and [n//2, n), indexed by their mixed-radix digits."""
+    patterns = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))  # row_digit_bits on the Dicke space
     tables = [np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64)]
     split = n // 2
     for row in range(n):
         half = int(row >= split)
         shifted = patterns << np.uint64(row * n)
         tables[half] = (shifted[:, None] | tables[half]).ravel()  # row's digit most significant
-    ranks = np.asarray(ranks)
-    flat = ranks.reshape(-1)
-    high = flat // n**split
-    bits = tables[1][high]
-    bits |= tables[0][np.remainder(flat, n**split, out=high)]
-    return bits.reshape(ranks.shape)
+    for table in tables:
+        table.flags.writeable = False
+    return tables[0], tables[1]
 
 
 def value_register_width(form: Formulation, y_max_shift: float = 0.0) -> int:

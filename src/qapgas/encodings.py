@@ -26,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +127,18 @@ class Formulation:
         if self.kind is FormulationKind.QUBO_DICKE:
             return n**n
         return 1 << self.num_vars
+
+    @cached_property
+    def _integer_terms(self) -> tuple[int, list[int]]:
+        """(den, [den * c for each term of poly, in poly.terms order]).
+
+        den is the LCM of the coefficients' Fraction denominators.  Computed on
+        first use and kept, as poly does not change; circuits._integer_terms,
+        its one reader, adds the exactness guard.
+        """
+        ratios = [Fraction(c) for c in self.poly.terms.values()]
+        den = math.lcm(*(r.denominator for r in ratios))
+        return den, [r.numerator * (den // r.denominator) for r in ratios]
 
     def evaluate(self, x: int) -> float:
         return float(self.poly.evaluate(x))

@@ -12,7 +12,10 @@ stand on one index.  The search space is enumerated once as exact integer
 values at the objective's common denominator, every kind from the same
 per-row and row-pair tables (circuits.objective_values), and indexed by one
 sort of packed (value, state) keys, keeping each state's bitmask
-(SearchSpace).
+(SearchSpace).  A space of more than one build block runs each O(size)
+pass of that build as two halves on two threads when two cores are usable
+(the sort as a median partition and two half sorts); the result is
+bit-identical to the one-part build.
 
 * ``emulated`` -- classical amplification model: a sample is marked
   (objective strictly below the threshold) with the exact Grover probability
@@ -40,8 +43,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import (
+    _INDEX_BLOCK,
     EMULATION_SPACE_CAP,
     SpaceScaleError,
+    _index_parts,
+    _run_parts,
     dicke_rank_to_bits,
     objective_denominator,
     objective_values,
@@ -53,9 +59,6 @@ GROWTH_FACTOR = 8.0 / 7.0
 # Iterations served by one rng.random call of a run; the stream is read in
 # order, so trajectories do not depend on this length.
 UNIFORM_BLOCK = 64
-# Entries per step of each pass of SearchSpace's build after objective_values;
-# the pass's temporaries are this many entries long.
-_INDEX_BLOCK = 1 << 16
 
 
 def _grover_angle(fraction: float) -> float:
@@ -96,11 +99,23 @@ class SearchSpace:
     index: equal values are bit-equal floats, ties keep state-index order,
     and the order is the same on every host.
 
+    Split: each O(size) pass of the build (the last row of objective_values,
+    the value range scan, packing the keys, sorting, unpacking them into
+    values and order) runs as two parts, one in the caller and one on a
+    thread, when the space spans more than one _INDEX_BLOCK and
+    os.sched_getaffinity (or os.cpu_count) gives at least two cores;
+    otherwise as one part, with no partition and no thread.  The two-part
+    sort is one in-place ``key.partition(size // 2)`` and then the two
+    halves sorted at the same time: the keys are unique, so this is the
+    order of one full sort, and both part counts give bit-identical arrays.
+
     Memory: the build holds the key buffer (8 bytes per state; it becomes
     ``sorted_values``) and ``order`` (4 or 8 bytes per state) plus a few
     blocks of temporaries.  Every pass after objective_values (packing the
     keys, unpacking them into values and order, mapping Dicke ranks to
-    bitmasks) runs in place, _INDEX_BLOCK entries at a time.
+    bitmasks) runs in place, in blocks of _INDEX_BLOCK / parts entries, so
+    two parts together hold no more temporaries than one; the partition
+    and the half sorts run in place.
     """
 
     def __init__(self, form: Formulation):
@@ -112,34 +127,61 @@ class SearchSpace:
         self.size = size
         levels = objective_values(form)
         self._den = den = objective_denominator(form)
-        lo = int(levels.min())
-        span = int(levels.max()) - lo
+        # Each O(size) pass below runs as `parts` pieces of the buffer, split at
+        # cuts, in blocks of `step` entries.
+        parts = _index_parts(size)
+        cuts = [size * part // parts for part in range(parts + 1)]
+        step = _INDEX_BLOCK // parts
+
+        def blocks(part: int) -> list[slice]:
+            stop = cuts[part + 1]
+            return [slice(start, min(start + step, stop)) for start in range(cuts[part], stop, step)]
+
+        extremes = [(0, 0)] * parts
+
+        def scan(part: int) -> None:
+            piece = levels[cuts[part] : cuts[part + 1]]
+            extremes[part] = (int(piece.min()), int(piece.max()))
+
+        _run_parts(scan, parts)
+        lo = min(low for low, _ in extremes)
+        span = max(high for _, high in extremes) - lo
         shift = (size - 1).bit_length()
         if span.bit_length() + shift > 64:
             raise SpaceScaleError(f"value span {span} and {shift} state bits overflow a 64-bit key")
         # One buffer, seen as int64 levels, uint64 keys and float64 values.
         key = levels.view(np.uint64)
-        blocks = [slice(start, start + _INDEX_BLOCK) for start in range(0, size, _INDEX_BLOCK)]
-        state = np.arange(min(size, _INDEX_BLOCK), dtype=np.uint64)
-        for rows in blocks:  # key = (level - lo) << shift | state
-            levels[rows] -= lo
-            block = key[rows]
-            block <<= shift
-            block |= state[: block.size]
-            state += _INDEX_BLOCK
-        del state  # not held through the sort and the unpack
-        key.sort()
+
+        def pack(part: int) -> None:  # key = (level - lo) << shift | state
+            state = np.arange(cuts[part], min(cuts[part] + step, cuts[part + 1]), dtype=np.uint64)
+            for rows in blocks(part):
+                levels[rows] -= lo
+                block = key[rows]
+                block <<= shift
+                block |= state[: block.size]
+                state += step
+
+        _run_parts(pack, parts)
+        # Keys are unique (they hold the state), so splitting them at the median
+        # and sorting each half is one full sort.
+        if parts > 1:
+            key.partition(cuts[1])
+        _run_parts(lambda part: key[cuts[part] : cuts[part + 1]].sort(), parts)
         # Unsigned above 31 variables: a qubo-d mask at N=8 sets bit 63.
         order = np.empty(size, dtype=np.uint64 if form.num_vars > 31 else np.int32)
         values = key.view(np.float64)
         mask = (1 << shift) - 1
-        for rows in blocks:
-            np.bitwise_and(key[rows], mask, out=order[rows], casting="unsafe")
-            if form.kind is FormulationKind.QUBO_DICKE:
-                order[rows] = dicke_rank_to_bits(form, order[rows])
-            key[rows] >>= shift
-            levels[rows] += lo
-            np.divide(levels[rows], den, out=values[rows])
+
+        def unpack(part: int) -> None:
+            for rows in blocks(part):
+                np.bitwise_and(key[rows], mask, out=order[rows], casting="unsafe")
+                if form.kind is FormulationKind.QUBO_DICKE:
+                    order[rows] = dicke_rank_to_bits(form, order[rows])
+                key[rows] >>= shift
+                levels[rows] += lo
+                np.divide(levels[rows], den, out=values[rows])
+
+        _run_parts(unpack, parts)
         self.order = order
         self.sorted_values = values
         self._last_count = (math.nan, 0, 0.0)

@@ -2,12 +2,21 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qapgas.circuits import dicke_rank_to_bits, objective_denominator, objective_values
+from qapgas import gas as gas_module
+from qapgas.circuits import (
+    _index_parts,
+    _run_parts,
+    dicke_rank_to_bits,
+    objective_denominator,
+    objective_values,
+)
 from qapgas.encodings import (
     Formulation,
     FormulationKind,
@@ -248,6 +257,115 @@ class TestSearchSpace:
                     dust += round(before * den) - round(it.value * den) < 1
                     before = it.value
         assert dust == 0
+
+
+def usable_cores(monkeypatch, count):
+    """Make the index build see `count` usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def full_sort_reference(form):
+    """order and sorted_values from one np.sort of every packed key, in one piece."""
+    numerators = objective_values(form)
+    lo = int(numerators.min())
+    shift = np.uint64((form.space_size - 1).bit_length())
+    states = np.arange(form.space_size, dtype=np.uint64)
+    keys = np.sort((numerators - lo).astype(np.uint64) << shift | states)
+    ranks = keys & ((np.uint64(1) << shift) - np.uint64(1))
+    order = dicke_rank_to_bits(form, ranks) if form.kind is FormulationKind.QUBO_DICKE else ranks
+    values = ((keys >> shift).astype(np.int64) + lo) / objective_denominator(form)
+    return order, values
+
+
+class TestSplitBuild:
+    # qubo-h N=4 is exactly one block, so one part; hubo-hw N=6 is a power-of-two
+    # number of blocks, and qubo-d N=7 (823,543 states) is not a multiple of the block.
+    SPACES = [("qubo-h", 4, 1), ("hubo-hw", 6, 2), ("qubo-d", 7, 2)]
+
+    @pytest.mark.parametrize("kind, n, parts", SPACES)
+    def test_two_core_build_equals_one_full_sort(self, monkeypatch, kind, n, parts):
+        usable_cores(monkeypatch, 2)
+        form = encode(random_instance(n, seed=2), kind)
+        assert _index_parts(form.space_size) == parts
+        space = SearchSpace(form)
+        order, values = full_sort_reference(form)
+        assert np.array_equal(space.order, order)
+        assert np.array_equal(space.sorted_values, values)
+
+    @pytest.mark.parametrize("kind, n, parts", SPACES)
+    def test_one_usable_core_gives_the_same_arrays(self, monkeypatch, kind, n, parts):
+        form = encode(random_instance(n, seed=2), kind)
+        usable_cores(monkeypatch, 2)
+        two_numerators, two = objective_values(form), SearchSpace(form)
+        usable_cores(monkeypatch, 1)
+        assert _index_parts(form.space_size) == 1
+        one_numerators, one = objective_values(form), SearchSpace(form)
+        assert np.array_equal(one_numerators, two_numerators)
+        assert one.order.dtype == two.order.dtype
+        assert np.array_equal(one.order, two.order)
+        assert np.array_equal(one.sorted_values, two.sorted_values)
+
+    def test_part_count_rule(self, monkeypatch):
+        usable_cores(monkeypatch, 2)
+        assert _index_parts(_INDEX_BLOCK) == 1
+        assert _index_parts(_INDEX_BLOCK + 1) == 2
+        usable_cores(monkeypatch, 1)
+        assert _index_parts(EMULATION_SPACE_CAP) == 1
+        # Without an affinity call, the core count decides.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _index_parts(EMULATION_SPACE_CAP) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _index_parts(EMULATION_SPACE_CAP) == 1
+
+    def test_one_block_builds_start_no_thread(self, monkeypatch):
+        usable_cores(monkeypatch, 2)
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        SearchSpace(encode(random_instance(4, seed=2), "qubo-h"))  # 2^16 states: one block
+        for kind in ("qubo-h", "qubo-d", "hubo-hw"):
+            SearchSpace(encode(random_instance(4, seed=3), kind))
+            ExactEngine(encode(random_instance(3, seed=1), kind))
+        assert started == []
+        SearchSpace(encode(random_instance(6, seed=2), "hubo-hw"))  # 2^18 states: four blocks
+        assert started
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        usable_cores(monkeypatch, 2)
+        form = encode(random_instance(7, seed=2), "qubo-d")
+        original = gas_module.dicke_rank_to_bits
+
+        def failing_in_workers(form, ranks):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker half failed")
+            return original(form, ranks)
+
+        monkeypatch.setattr(gas_module, "dicke_rank_to_bits", failing_in_workers)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker half failed"):
+            SearchSpace(form)
+        assert threading.active_count() == before
+
+    def test_caller_exception_waits_for_the_worker(self):
+        finished = []
+
+        def task(part):
+            if part == 0:
+                raise ValueError("caller half failed")
+            time.sleep(0.05)
+            finished.append(part)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="caller half failed"):
+            _run_parts(task, 2)
+        assert finished == [1]
+        assert threading.active_count() == before
 
 
 TOP_UNIFORM = float(np.nextafter(1.0, 0.0))  # the largest value rng.random() can return
