@@ -17,7 +17,7 @@ from . import analysis, gas as gas_mod
 from .circuits import build_state_prep, count_gates, value_bounds, width_for_range
 from .encodings import FormulationKind, encode
 from .qap import brute_force_optimum, format_qaplib, parse_qaplib, random_instance
-from .sim import StateVector, signed_value
+from .sim import MAX_QUBITS, StateVector, signed_value
 
 KIND_CHOICES = [k.value for k in FormulationKind]
 
@@ -109,6 +109,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{hi - args.y:g}]; it needs at least {need} value qubits"
         )
     m = need if args.m is None else args.m
+    if form.num_vars + m > MAX_QUBITS:
+        sys.exit(
+            f"qap simulate: {form.num_vars} variable and {m} value qubits exceed the "
+            f"{MAX_QUBITS}-qubit statevector cap"
+        )
     prep = build_state_prep(form, m, threshold=args.y)
     sv = StateVector(prep.num_qubits).apply_all(prep.gates)
     probs = sv.probabilities().reshape(1 << m, 1 << form.num_vars)

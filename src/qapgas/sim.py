@@ -5,20 +5,15 @@ i, matching the circuit module's conventions.  The register is capped at
 EMULATION_SPACE_CAP amplitudes, 26 qubits (a 1 GiB amplitude array); anything
 larger belongs to the emulated search backend, not to exact simulation.
 
-Gates are applied in runs of one gate class, each run in one pass over the
-register where it can be.  A run of Hadamards is H on the qubits it hits an
-odd number of times, applied as one real Walsh-matrix product per block of
-up to four adjacent qubits.  A run of diagonal phase gates is a phase
-polynomial over its qubits: its complex factor table holds, at each entry,
-the product of the e^{i theta} seeds of the terms that entry contains.  The
-table is built in place, split by split on its top index bit, so a phase
-ladder's table costs about one multiply and one copy per entry, and the
-state is multiplied by it once.  A run of x gates is one flip of the state
-and a run of swaps one axis permutation, each copied once.  No kernel holds
-more than one state of temporary memory, and a kernel may replace
-``amplitudes`` with a new array (see ``StateVector.apply_all``).  One
-simulated 20-qubit GAS iteration (hubo-hw, N=3, 1,992 gates) takes about
-0.2 s on a 2-core x86 host.
+Gates are applied in runs of one gate class, each in as few passes over the
+register as it can be (see ``StateVector.apply_all``): a run of real gates
+(h, x, ry, cry, cnot) as one composed real matrix per window of at most four
+adjacent qubits, a run of diagonal phase gates as one unit-modulus factor
+table built in place, and a run of swaps as one axis permutation.  No kernel
+holds more than one state of temporary memory.  One simulated 20-qubit GAS
+iteration (hubo-hw, N=3, 1,992 gates) takes about 0.12 s on a 2-core x86
+host, and a 22-qubit qubo-d one, whose Dicke rows are one product each,
+about 0.6 s.
 """
 from __future__ import annotations
 
@@ -36,20 +31,55 @@ MAX_QUBITS = EMULATION_SPACE_CAP.bit_length() - 1
 
 
 _DIAGONAL = frozenset({"z", "phase", "rz", "cphase", "crz"})
+_REAL = frozenset({"h", "x", "ry", "cry", "cnot"})
 
-# Hadamards are applied in blocks of at most this many adjacent qubits; at 20
-# qubits a layer took 13.5-15 ms in blocks of 4, 14-24 ms in blocks of 3 and
-# 19-27 ms in blocks of 5 (2-core x86 host, OpenBLAS).
-_HADAMARD_BLOCK = 4
+# A run of real gates is composed into one matrix per window of at most this
+# many adjacent qubits; at 20 qubits a Hadamard layer took 13.5-15 ms in
+# windows of 4, 14-24 ms in windows of 3 and 19-27 ms in windows of 5 (2-core
+# x86 host, OpenBLAS).
+_WINDOW = 4
 
-# _WALSH[g] is H tensored g times: the matrix of Hadamards on g adjacent qubits.
-_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-_WALSH = [reduce(np.kron, [_H] * g, np.ones((1, 1))) for g in range(_HADAMARD_BLOCK + 1)]
+# Target matrices [[a, b], [c, d]] of the fixed real gates, as (a, b, c, d).
+_HALF = math.sqrt(0.5)
+_FLIP = (0.0, 1.0, 1.0, 0.0)
+_TARGETS = {"h": (_HALF, _HALF, _HALF, -_HALF), "x": _FLIP, "cnot": _FLIP}
 
 
 def _run_class(gate: Gate) -> str:
     """Gates of one class next to each other form one run for `apply_all`."""
-    return "diagonal" if gate.kind in _DIAGONAL else gate.kind
+    kind = gate.kind
+    return "diagonal" if kind in _DIAGONAL else "real" if kind in _REAL else kind
+
+
+def _apply_real_gate(array: np.ndarray, num_qubits: int, gate: Gate, base: int = 0) -> None:
+    """Apply a real gate in place to the rows of `array`, shape (2^num_qubits, batch).
+
+    Row i has qubit base + j at bit j; each column (the real and imaginary
+    parts of a state, or a window identity's basis vectors) is transformed
+    alike.  The 2x2 target matrix mixes the target's halves where the
+    controls are 1.
+    """
+    kind, qubits, angle = gate
+    if kind in _TARGETS:
+        a, b, c, d = _TARGETS[kind]
+    else:  # ry, cry
+        a = d = math.cos(angle / 2.0)
+        c = math.sin(angle / 2.0)
+        b = -c
+    view = array.reshape([2] * num_qubits + [-1])
+    index: list = [slice(None)] * num_qubits
+    for q in qubits[:-1]:
+        index[num_qubits - 1 - (q - base)] = 1
+    axis = num_qubits - 1 - (qubits[-1] - base)
+    index[axis] = 0
+    low = view[tuple(index)]
+    index[axis] = 1
+    high = view[tuple(index)]
+    new_low = low * a
+    new_low += high * b
+    high *= d
+    high += low * c
+    low[...] = new_low
 
 
 def _axis_runs(num_qubits: int, key) -> list[list]:
@@ -131,17 +161,6 @@ class StateVector:
 
     # -- helpers -------------------------------------------------------------
 
-    def _view(self) -> np.ndarray:
-        return self.amplitudes.reshape([2] * self.num_qubits)
-
-    def _slices(self, assignment: dict[int, int]) -> tuple:
-        """Index of the block where each assigned qubit has its bit; it selects
-        a view, 0-d when every qubit is assigned."""
-        sel: list = [slice(None)] * self.num_qubits
-        for qubit, bit in assignment.items():
-            sel[self.num_qubits - 1 - qubit] = bit
-        return (*sel, Ellipsis)
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
@@ -164,12 +183,17 @@ class StateVector:
 
         Each run class has one kernel:
 
-        * h: H on the qubits the run hits an odd number of times, split into
-          blocks of at most four adjacent qubits.  On the state's float view,
-          a block of g qubits from qubit lo whose top qubit is at most 3
-          right-multiplies the (rows, 2^(lo+g+1)) view by W_g (x) I; any
-          other left-multiplies the (rows, 2^g, 2^(lo+1)) view by the Walsh
-          matrix W_g.
+        * real (h, x, ry, cry, cnot): disjoint windows of at most four
+          adjacent qubits.  A gate joins the windows it overlaps or,
+          overlapping none, the nearest one, while the span stays within
+          four qubits; else the windows it overlaps are applied first and
+          it starts its own.  A window's gates are composed in order, by
+          `_apply_real_gate` on its identity, into one real 2^w x 2^w
+          matrix M.  On the state's float view, a window from qubit lo with
+          top qubit at most 3 right-multiplies the (rows, 2^(top+2)) view
+          by M^T (x) I; any other left-multiplies the (rows, 2^w, 2^(lo+1))
+          view by M.  A gate spanning more than four qubits is applied
+          alone, by `_apply_real_gate` on the state's float view.
         * diagonal (z, phase, rz, cphase, crz): one phase polynomial over
           the run's support.  phase and cphase add a*prod(b), z adds pi*b,
           and rz and crz add a*prod(controls)*(b_t - 1/2).  Each term is a
@@ -181,17 +205,14 @@ class StateVector:
           multiplied once, broadcast over the other qubits.
           The phase is 0 wherever a qubit that every term contains is 0, so
           only the slice where all such qubits are 1 is multiplied.
-        * x: one flip over the axes of the qubits flipped an odd number of
-          times; swap: one permutation of the qubits' axes.  Each is copied
-          once.
-        * ry and cry rotate the two halves of their target in place; cnot
-          exchanges two quarters.  These go gate by gate.
+        * swap: one permutation of the qubits' axes, copied once.
 
-        Temporary memory stays within one state: a Hadamard block or a copy
-        writes one new state, a diagonal table over every qubit is one
-        state, an ry holds one state and a cnot a quarter.  Kernels may
-        replace ``amplitudes`` with a new array, so a reference taken before
-        the call can hold the old state.
+        Temporary memory stays within one state: a window's product or a
+        swap copy writes one new state, a diagonal table over every qubit
+        is one state, and a wide gate holds two halves of its controlled
+        block, at most half a state.  Kernels may replace ``amplitudes``
+        with a new array, so a reference taken before the call can hold
+        the old state.
 
         With ``validate`` every gate is applied as a run of one and the norm
         is checked after it.
@@ -211,30 +232,48 @@ class StateVector:
                 raise AssertionError(f"norm drifted after {run[0]}")
         return self
 
-    def _apply_hadamards(self, run: tuple[Gate, ...]) -> None:
-        odd: set[int] = set()
-        for _, qubits, _ in run:
-            odd ^= set(qubits)
-        blocks: list[list[int]] = []
-        for q in sorted(odd):
-            if blocks and blocks[-1][-1] == q - 1 and len(blocks[-1]) < _HADAMARD_BLOCK:
-                blocks[-1].append(q)
+    def _apply_real(self, run: tuple[Gate, ...]) -> None:
+        # Pending windows (lo, hi, gates) over disjoint spans of qubits lo..hi.
+        windows: list[tuple[int, int, list[Gate]]] = []
+        for gate in run:
+            lo, hi = min(gate[1]), max(gate[1])
+            hit = [w for w in windows if w[0] <= hi and lo <= w[1]]
+            # A gate joins the windows it overlaps or, overlapping none, the nearest.
+            join = hit or sorted(windows, key=lambda w: max(hi, w[1]) - min(lo, w[0]))[:1]
+            bottom = min([lo, *(w[0] for w in join)])
+            top = max([hi, *(w[1] for w in join)])
+            if top - bottom >= _WINDOW:
+                # Too wide: the windows it overlaps are applied, and it starts alone.
+                for window in hit:
+                    windows.remove(window)
+                    self._apply_window(*window)
+                join, bottom, top = [], lo, hi
+            for window in join:
+                windows.remove(window)
+            if top - bottom < _WINDOW:
+                windows.append((bottom, top, [g for w in join for g in w[2]] + [gate]))
             else:
-                blocks.append([q])
-        for block in blocks:
-            lo, g = block[0], len(block)
-            walsh = _WALSH[g]
-            # Below qubit 4 the left product would be many tiny matrix
-            # products; one product with a small Kronecker matrix is faster.
-            # No view of the old state outlives its product, so the old
-            # state is freed as soon as ``amplitudes`` is rebound.
-            floats = self.amplitudes.view(np.float64)
-            if block[-1] <= 3:
-                new = floats.reshape(-1, 2 << (lo + g)) @ np.kron(walsh, np.eye(2 << lo))
-            else:
-                new = walsh @ floats.reshape(-1, 1 << g, 2 << lo)
-            del floats
-            self.amplitudes = new.view(np.complex128).reshape(-1)
+                _apply_real_gate(self.amplitudes.view(np.float64).reshape(-1, 2), self.num_qubits, gate)
+        for window in windows:
+            self._apply_window(*window)
+
+    def _apply_window(self, lo: int, hi: int, gates: list[Gate]) -> None:
+        """One product of the state with the composed matrix of `gates` on qubits lo..hi."""
+        width = hi - lo + 1
+        matrix = np.eye(1 << width)
+        for gate in gates:
+            _apply_real_gate(matrix, width, gate, lo)
+        # Below qubit 4 the left product would be many tiny matrix products;
+        # one product with a small Kronecker matrix is faster.  No view of
+        # the old state outlives its product, so the old state is freed as
+        # soon as ``amplitudes`` is rebound.
+        floats = self.amplitudes.view(np.float64)
+        if hi <= 3:
+            new = floats.reshape(-1, 2 << (hi + 1)) @ np.kron(matrix.T, np.eye(2 << lo))
+        else:
+            new = matrix @ floats.reshape(-1, 1 << width, 2 << lo)
+        del floats
+        self.amplitudes = new.view(np.complex128).reshape(-1)
 
     def _apply_phases(self, run: tuple[Gate, ...]) -> None:
         terms: dict[int, float] = {}
@@ -271,16 +310,6 @@ class StateVector:
         block = view[tuple(slice(size - 1, None) if key == "one" else slice(None) for key, size in axes)]
         block *= factor.reshape([size if key == "free" else 1 for key, size in axes])
 
-    def _apply_flips(self, run: tuple[Gate, ...]) -> None:
-        flipped: set[int] = set()
-        for _, qubits, _ in run:
-            flipped ^= set(qubits)
-        if flipped:
-            axes = _axis_runs(self.num_qubits, flipped.__contains__)
-            view = self.amplitudes.reshape([size for _, size in axes])
-            turned = tuple(i for i, (key, _) in enumerate(axes) if key)
-            self.amplitudes = np.flip(view, axis=turned).copy().reshape(-1)
-
     def _apply_swaps(self, run: tuple[Gate, ...]) -> None:
         # source[q] is the qubit whose bit the run moves to qubit q.
         source = list(range(self.num_qubits))
@@ -295,41 +324,7 @@ class StateVector:
         order = [i if key == -1 else position[source[key]] for i, (key, _) in enumerate(axes)]
         self.amplitudes = view.transpose(order).copy().reshape(-1)
 
-    def _apply_rotations(self, run: tuple[Gate, ...]) -> None:
-        """ry and cry: [[c, -s], [s, c]] on the target's halves under the controls."""
-        view = self._view()
-        for gate in run:
-            on = {q: 1 for q in gate.controls}
-            a = view[self._slices({**on, gate.target: 0})]
-            b = view[self._slices({**on, gate.target: 1})]
-            c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-            sb = b * s
-            b *= c
-            b += a * s  # s a + c b
-            a *= c
-            a -= sb  # c a - s b
-
-    def _apply_cnots(self, run: tuple[Gate, ...]) -> None:
-        """Exchange the target's two quarters under the control, gate by gate."""
-        view = self._view()
-        for gate in run:
-            control, target = gate.qubits
-            lo = view[self._slices({control: 1, target: 0})]
-            hi = view[self._slices({control: 1, target: 1})]
-            saved = lo.copy()
-            lo[...] = hi
-            hi[...] = saved
-
-    _KERNELS = {
-        "h": _apply_hadamards,
-        "diagonal": _apply_phases,
-        "x": _apply_flips,
-        "swap": _apply_swaps,
-        "ry": _apply_rotations,
-        "cry": _apply_rotations,
-        "cnot": _apply_cnots,
-    }
-
+    _KERNELS = {"real": _apply_real, "diagonal": _apply_phases, "swap": _apply_swaps}
     # -- measurement -----------------------------------------------------------
 
     def measure_all(self, rng: np.random.Generator) -> int:

@@ -87,6 +87,14 @@ class TestSimulate:
         with pytest.raises(SystemExit, match="at least 6 value qubits"):
             main(["simulate", "--kind", "qubo-d", "--in", str(n2_file), "--y=-10", "--m", "5"])
 
+    def test_register_beyond_the_statevector_cap_exits(self, tmp_path):
+        """random_instance(4, 1) as qubo-h needs 16 variable and 12 value qubits."""
+        path = tmp_path / "n4.dat"
+        main(["gen", "--n", "4", "--seed", "1", "--out", str(path)])
+        with pytest.raises(SystemExit, match="qap simulate: 16 variable and 12 value qubits exceed "
+                                             "the 26-qubit statevector cap"):
+            main(["simulate", "--kind", "qubo-h", "--in", str(path)])
+
 
 class TestGasCommand:
     def test_runs_csv(self, instance_file, tmp_path):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qapgas.circuits import Gate, SpaceScaleError, build_dicke, build_state_prep
+from qapgas.circuits import Gate, SpaceScaleError, build_dicke, build_state_prep, dicke_gates
 from qapgas.encodings import encode_hubo_hw
 from qapgas.qap import random_instance
 from qapgas.sim import MAX_QUBITS, StateVector, _subset_products, run_circuit
@@ -335,7 +335,9 @@ class TestRunKernels:
 
 def _per_gate_reference(num_qubits: int):
     """Gate by gate on the flat array: a 2x2 Hadamard on the target's halves,
-    an explicit phase per basis state, and index permutations for x and swap."""
+    an explicit phase per basis state, index permutations for x, cnot and
+    swap, and each ry or cry amplitude mixed with its partner across the
+    target."""
     index = np.arange(1 << num_qubits)
 
     def bit(q):
@@ -343,18 +345,25 @@ def _per_gate_reference(num_qubits: int):
 
     def reference(amps, gates):
         for kind, qubits, angle in gates:
+            on = np.prod([bit(q) for q in qubits[:-1]], axis=0) if len(qubits) > 1 else 1
+            target = bit(qubits[-1])
             if kind == "h":
                 pair = amps.reshape(-1, 2, 1 << qubits[0])
                 amps = np.stack([pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]], axis=1)
                 amps = amps.reshape(-1) / math.sqrt(2)
             elif kind == "x":
                 amps = amps[index ^ (1 << qubits[0])]
+            elif kind == "cnot":
+                amps = amps[index ^ (on << qubits[1])]
             elif kind == "swap":
                 a, b = qubits
                 amps = amps[index ^ ((bit(a) ^ bit(b)) * ((1 << a) | (1 << b)))]
-            else:
-                on = np.prod([bit(q) for q in qubits[:-1]], axis=0) if len(qubits) > 1 else 1
-                target = bit(qubits[-1])
+            elif kind in ("ry", "cry"):
+                # [[c, -s], [s, c]]: the 0 half takes -s times its partner, the 1 half +s.
+                c, s = math.cos(angle / 2), math.sin(angle / 2)
+                partner = amps[index ^ (1 << qubits[-1])]
+                amps = np.where(on, c * amps + (2 * target - 1) * s * partner, amps)
+            elif kind in ("z", "phase", "cphase", "rz", "crz"):
                 if kind == "z":
                     phase = math.pi * target
                 elif kind in ("phase", "cphase"):
@@ -362,6 +371,8 @@ def _per_gate_reference(num_qubits: int):
                 else:  # rz, crz
                     phase = angle * on * (target - 0.5)
                 amps = amps * np.exp(1j * phase)
+            else:
+                raise ValueError(f"no reference for gate kind {kind!r}")
         return amps
     return reference
 
@@ -389,6 +400,131 @@ class TestRunKernelsWide:
         assert 10 <= prep.num_qubits <= 12
         _check_runs(prep.num_qubits, list(prep.gates), np.random.default_rng(9),
                     _per_gate_reference(prep.num_qubits))
+
+
+def _real_run(rng: np.random.Generator, num_qubits: int, length: int) -> list[Gate]:
+    """One run of real gates: h, x and ry, and cry and cnot on two or more qubits."""
+    kinds = ("h", "x", "ry") + (("cry", "cnot") if num_qubits > 1 else ())
+    gates = []
+    for _ in range(length):
+        kind = kinds[rng.integers(len(kinds))]
+        size = int(rng.integers(2, num_qubits + 1)) if kind == "cry" else 2 if kind == "cnot" else 1
+        qubits = tuple(int(q) for q in rng.permutation(num_qubits)[:size])
+        angle = float(rng.uniform(-math.pi, math.pi)) if kind in ("ry", "cry") else None
+        gates.append(Gate(kind, qubits, angle))
+    return gates
+
+
+class _CountingState(StateVector):
+    """A StateVector that counts how often ``amplitudes`` is rebound."""
+
+    __slots__ = ("writes",)
+
+    @property
+    def amplitudes(self):
+        return StateVector.amplitudes.__get__(self)
+
+    @amplitudes.setter
+    def amplitudes(self, value):
+        self.writes = getattr(self, "writes", 0) + 1
+        StateVector.amplitudes.__set__(self, value)
+
+
+class TestRealKernel:
+    """Runs of h, x, ry, cry and cnot, composed per window of adjacent qubits."""
+
+    def _check(self, num_qubits: int, gates: list[Gate], seed: int = 0) -> None:
+        rng = np.random.default_rng(seed)
+        _check_runs(num_qubits, gates, rng, _kronecker_reference(num_qubits))
+
+    def test_mixed_runs(self):
+        rng = np.random.default_rng(1917)
+        kinds: set[str] = set()
+        for trial in range(60):
+            num_qubits = 1 + trial % 6
+            gates = _real_run(rng, num_qubits, int(rng.integers(1, 4 * num_qubits + 2)))
+            kinds.update(g.kind for g in gates)
+            _check_runs(num_qubits, gates, rng, _kronecker_reference(num_qubits))
+        assert kinds == {"h", "x", "ry", "cry", "cnot"}
+
+    def test_windows_across_the_product_boundary(self):
+        # Windows whose top qubit is 3 take the right product, from 4 the left one.
+        self._check(6, [Gate("h", (3,)), Gate("cnot", (3, 4)), Gate("ry", (4,), 0.7), Gate("h", (2,))])
+        self._check(6, [Gate("x", (0,)), Gate("cry", (1, 3), 1.1), Gate("h", (4,)), Gate("cnot", (4, 3))])
+        self._check(6, [Gate("cry", (5, 2), -0.4), Gate("h", (1,)), Gate("cnot", (0, 3)), Gate("x", (4,))])
+        self._check(5, [Gate("h", (q,)) for q in (4, 0, 3, 1, 2)] + [Gate("cnot", (3, 4))])
+
+    def test_gates_that_cancel_in_one_window(self):
+        self._check(3, [Gate("h", (1,)), Gate("h", (1,))])
+        self._check(4, [Gate("x", (2,)), Gate("h", (0,)), Gate("x", (2,))])
+        self._check(6, [Gate("h", (4,)), Gate("x", (5,)), Gate("h", (4,)), Gate("x", (5,))])
+        sv = StateVector(3, _random_state(np.random.default_rng(5), 3))
+        before = sv.amplitudes.copy()
+        sv.apply_all([Gate("x", (2,)), Gate("cnot", (0, 1)), Gate("cnot", (0, 1)), Gate("x", (2,))])
+        np.testing.assert_allclose(sv.amplitudes, before, rtol=0, atol=1e-15)
+
+    def test_gates_wider_than_a_window(self):
+        self._check(6, [Gate("cnot", (0, 5))])
+        self._check(6, [Gate("cnot", (5, 1)), Gate("cry", (0, 4), 0.9)])
+        self._check(6, [Gate("cry", (0, 3, 5), -1.3), Gate("cry", (5, 4, 2, 0), 2.2)])
+        layer = [Gate("h", (q,)) for q in range(6)]
+        self._check(6, layer + [Gate("cnot", (0, 5)), Gate("h", (2,)), Gate("cry", (4, 0), 0.5)] + layer)
+
+    def test_a_run_within_four_qubits_is_one_product(self):
+        rng = np.random.default_rng(12)
+        runs = (
+            [Gate("h", (3,)), Gate("cnot", (3, 4)), Gate("cry", (5, 4), 0.3), Gate("x", (6,)),
+             Gate("ry", (5,), -0.8), Gate("h", (6,)), Gate("cnot", (6, 3))],
+            [Gate("x", (0,)), Gate("h", (2,)), Gate("cry", (0, 2, 3), 1.4), Gate("cnot", (1, 0))],
+            [Gate("h", (7,)), Gate("ry", (7,), 0.2)],
+        )
+        for gates in runs:
+            amps = _random_state(rng, 8)
+            sv = _CountingState(8, amps)
+            sv.writes = 0
+            sv.apply_all(gates)
+            assert sv.writes == 1
+            expected = _kronecker_reference(8)(amps, gates)
+            np.testing.assert_allclose(sv.amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_per_gate_reference_matches_kronecker_products(self):
+        rng = np.random.default_rng(31)
+        kinds: set[str] = set()
+        for trial in range(30):
+            num_qubits = 1 + trial % 5
+            gates = _random_circuit(rng, num_qubits)
+            kinds.update(g.kind for g in gates)
+            amps = _random_state(rng, num_qubits)
+            np.testing.assert_allclose(
+                _per_gate_reference(num_qubits)(amps, gates),
+                _kronecker_reference(num_qubits)(amps, gates), rtol=0, atol=1e-12,
+            )
+        assert kinds == {"h", "x", "z", "swap", "cnot", "phase", "rz", "ry", "cry", "cphase", "crz"}
+        with pytest.raises(ValueError, match="no reference"):
+            _per_gate_reference(2)(np.ones(4), [("toffoli", (0, 1), None)])
+
+
+class TestRealKernelWide:
+    """Dicke blocks and layers at 9-12 qubits against the per-gate reference."""
+
+    def test_dicke_rows_then_a_hadamard_layer(self):
+        rng = np.random.default_rng(3)
+        for num_qubits in (9, 10, 12):
+            rows = [g for lo, k in ((0, 1), (3, 2), (6, 1)) for g in dicke_gates([lo, lo + 1, lo + 2], k)]
+            layer = [Gate("h", (q,)) for q in range(num_qubits)]
+            _check_runs(num_qubits, rows + layer, rng, _per_gate_reference(num_qubits))
+
+    def test_dicke_states_on_nine_qubits(self):
+        rng = np.random.default_rng(4)
+        for k in range(1, 10):
+            _check_runs(9, list(build_dicke(9, k).gates), rng, _per_gate_reference(9))
+
+    def test_descending_hadamards_then_ascending_x(self):
+        rng = np.random.default_rng(5)
+        for num_qubits in (10, 11, 12):
+            gates = [Gate("h", (q,)) for q in reversed(range(num_qubits))]
+            gates += [Gate("x", (q,)) for q in range(num_qubits)]
+            _check_runs(num_qubits, gates, rng, _per_gate_reference(num_qubits))
 
 
 class TestTemporaryMemory:
