@@ -5,6 +5,8 @@ Library layout:
 * qap         -- instances, objective, brute-force ground truth, QAPLIB I/O
 * polynomials -- multilinear polynomial algebra over binary variables
 * encodings   -- the three QAP-to-binary formulations and their decoders
+* space       -- search-space enumeration: exact objective values of every
+                 state, Dicke ranks, value bounds, the enumeration cap
 * circuits    -- gate-level IR: state preparation, Dicke states, Grover
                  operator, gate/CNOT cost accounting
 * sim         -- dense statevector simulator for small registers

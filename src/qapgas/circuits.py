@@ -42,12 +42,10 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-import threading
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 from typing import NamedTuple
@@ -78,14 +76,6 @@ def _kinds_table(*kinds: str) -> np.ndarray:
     table = np.zeros(len(KIND_NAMES), dtype=bool)
     table[[_CODE[kind] for kind in kinds]] = True
     return table
-
-
-# Largest number of states (or amplitudes) that is ever enumerated, tabulated or simulated.
-EMULATION_SPACE_CAP = 1 << 26
-
-
-class SpaceScaleError(ValueError):
-    """Raised when a search space is too large to enumerate or simulate."""
 
 
 def _qubit_index(q) -> int:
@@ -411,261 +401,6 @@ def width_for_range(lo: float, hi: float) -> int:
     while not (-(2 ** (m - 1)) <= lo and hi < 2 ** (m - 1)):
         m += 1
     return m
-
-
-def value_bounds(form: Formulation, exhaustive_limit: int = 1 << 20) -> tuple[float, float]:
-    """Bounds on the objective over the formulation's search space.
-
-    Exact (by enumeration) while the space is at most exhaustive_limit;
-    otherwise the sum of absolute coefficients bounds both sides.
-    """
-    if form.space_size <= exhaustive_limit:
-        values = objective_values(form)
-        den = objective_denominator(form)
-        return float(values.min() / den), float(values.max() / den)
-    total = form.poly.abs_coeff_sum()
-    return -total, total
-
-
-def objective_denominator(form: Formulation) -> int:
-    """Common denominator of the objective: the LCM of its coefficients' denominators.
-
-    Every objective value is an integer multiple of 1/denominator.  Raises
-    ValueError when denominator * sum|c| reaches 2^53, where those integers,
-    and the floats divided from them, would no longer be exact.
-    """
-    return _integer_terms(form)[0]
-
-
-def _integer_terms(form: Formulation) -> tuple[int, list[int]]:
-    """objective_denominator and den * c of every term, in form.poly.terms order.
-
-    The exact arithmetic runs once per formulation (Formulation keeps it);
-    the 2^53 guard is checked on every call.
-    """
-    den, numerators = form._integer_terms
-    if max(den, sum(map(abs, numerators))) >= 2**53:
-        raise ValueError("coefficients' common denominator is too large for exact float64 values")
-    return den, numerators
-
-
-# Entries per block of SearchSpace's block-wise build passes; a space of at most one block
-# is built in one part (_index_parts).
-_INDEX_BLOCK = 1 << 16
-
-
-def _index_parts(size: int) -> int:
-    """Parts (1 or 2) that each O(size) pass of an index build over `size` states runs as.
-
-    Two when the space spans more than one _INDEX_BLOCK and this process may run
-    on at least two cores; otherwise one, with no partition and no thread.
-    """
-    if size <= _INDEX_BLOCK:
-        return 1
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return 2 if cores >= 2 else 1
-
-
-def _run_parts(task: Callable[[int], object], parts: int) -> None:
-    """Run task(0), ..., task(parts - 1): part 0 in the caller, every other part on a thread.
-
-    The parts run at the same time where task releases the GIL, as numpy's
-    array passes do.  Every thread is joined before this returns or raises,
-    and an exception raised in a worker part is re-raised here.
-    """
-    errors: list[BaseException] = []
-
-    def work(part: int) -> None:
-        try:
-            task(part)
-        except BaseException as exc:  # handed to the caller, which re-raises it
-            errors.append(exc)
-
-    workers = [threading.Thread(target=work, args=(part,)) for part in range(1, parts)]
-    for worker in workers:
-        worker.start()
-    try:
-        task(0)
-    finally:
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
-
-
-# objective_values folds the rows below the first R^h >= _FOLD_BLOCK into one block, so
-# every broadcast add over the table runs along contiguous inner runs at least this long:
-# numpy's in-place adds slow down on much shorter ones.
-_FOLD_BLOCK = 4096
-
-
-def objective_values(form: Formulation) -> np.ndarray:
-    """int64 numerators of the objective on every state, over objective_denominator(form).
-
-    Row i of a state has a digit d_i in [0, R): its local bit pattern on the
-    hypercube kinds (R = 2^row_width), its location on the Dicke-initialized
-    space (R = N); see row_digit_bits.  The table's index is sum_i d_i * R^i
-    (row 0 least significant): the variable bitmask itself on the hypercube,
-    the mixed-radix rank of the row-wise assignment on the Dicke space.
-    Every term must touch at most two row blocks, as every encoder's does, so
-
-        value(d) = c + sum_i T_i[d_i] + sum_{i<k} T_ik[d_i, d_k]
-
-    with per-row and row-pair tables read off form.poly at the denominator;
-    a term over three or more row blocks, or variables that do not split
-    into size_n equal row blocks, raise ValueError.  The sums are exact, so
-    values / den is float(form.poly.evaluate(bits)) bit for bit.  Raises
-    SpaceScaleError, before enumerating, when the space exceeds
-    EMULATION_SPACE_CAP.
-
-    The table grows one row at a time, in place.  The last row writes all
-    but 1/R of it, so its digits other than 0 are dealt to _index_parts(size)
-    parts that run at the same time (two threads on a space of more than
-    one _INDEX_BLOCK with two usable cores), each with its own increment of
-    at most R * _FOLD_BLOCK entries; digit 0, whose block is the old table,
-    grows after they join.  Integer sums make both part counts bit-identical.
-    """
-    size = form.space_size
-    if size > EMULATION_SPACE_CAP:
-        raise SpaceScaleError(f"space of {size} states exceeds the cap {EMULATION_SPACE_CAP}")
-    if form.num_vars != form.size_n * form.row_width:
-        raise ValueError(f"{form.num_vars} variables do not split into {form.size_n} row blocks")
-    tables = _row_tables(form, _integer_terms(form)[1])
-    n, radix = tables.shape[1:3]
-    folded = next((h for h in range(n) if radix**h >= _FOLD_BLOCK), n)
-    table = np.zeros(size, dtype=np.int64)
-    for k in range(n):
-        low = min(k, folded)
-        # Every digit but 0 reads the old table, which is digit 0's block, so digit 0 grows
-        # last, after the parts have joined.  The last row writes all but 1/R of the table;
-        # its other digits are dealt to _index_parts(size) parts in turn.
-        parts = _index_parts(size) if k == n - 1 else 1
-        _run_parts(
-            lambda part: _grow_row(table, tables, k, low, range(radix - parts + part, 0, -parts)),
-            parts,
-        )
-        _grow_row(table, tables, k, low, (0,))
-    return table
-
-
-def _grow_row(table: np.ndarray, tables: np.ndarray, k: int, low: int, digits: Iterable[int]) -> None:
-    """Grow the table by row k's axis at `digits`, in place.
-
-    The table holds rows < k in its first R^k entries (old); block d of the
-    grown table is new[d, rest] = old[rest] + inc[low] + the pair tables of
-    the unfolded rows low..k-1 at d, where inc holds T_k[d] and the pair
-    tables of the folded rows below `low` at d.
-    """
-    radix = tables.shape[2]
-    filled = radix**k
-    block = table[:filled].reshape(-1, radix**low)
-    grown = table[: filled * radix].reshape(radix, -1, radix**low)
-    inc = np.empty(radix**low, dtype=np.int64)
-    for d in digits:
-        inc[:] = tables[k, k, d, 0]
-        for i in range(low):
-            _add_pair(inc, tables[i, k, :, d : d + 1], i, low)
-        np.add(block, inc, out=grown[d])
-        for i in range(low, k):
-            _add_pair(grown[d], tables[i, k, :, d : d + 1], i, k)
-
-
-def _add_pair(table: np.ndarray, pair: np.ndarray, i: int, k: int) -> None:
-    """Add pair[d_i, d_k] in place to a table over rows < k, led by row k's digits in pair."""
-    radix = pair.shape[0]
-    view = table.reshape(-1, radix ** (k - 1 - i), radix, radix**i)
-    view += pair.T[:, None, :, None]
-
-
-def _row_tables(form: Formulation, numerators: Sequence[int]) -> np.ndarray:
-    """den * the objective as row-pair tables T[i, k][d_i, d_k], shape (N, N, R, R), i <= k.
-
-    A term over rows i < k is seeded in T[i, k] at its two local masks.  A
-    term within row i is seeded in T[i, i] with the empty mask second, so
-    T[i, i][d, d'] = T_i[d] for every d'; T_0 also holds the constant.  One
-    0/1 matrix Z[d, m] = (m lies within row_digit_bits[d]) over the masks in
-    use turns the seeds S into the tables: T = Z S Z^T.
-    """
-    width = form.row_width
-    seeded: list[tuple[int, int, int, int, int]] = []
-    for key, num in zip(form.poly.terms, numerators):
-        masks: dict[int, int] = {}
-        for v in key:
-            row, bit = divmod(v, width)
-            masks[row] = masks.get(row, 0) | 1 << bit
-        if len(masks) > 2:
-            raise ValueError(f"term {key} spans {len(masks)} row blocks; at most two are tabulated")
-        (i, mask_i), *other = masks.items() or [(0, 0)]
-        k, mask_k = other[0] if other else (i, 0)
-        seeded.append((i, k, mask_i, mask_k, num))
-    local = sorted({0}.union(*(term[2:4] for term in seeded)))
-    column = {m: u for u, m in enumerate(local)}
-    patterns = row_digit_bits(form).tolist()
-    zeta = np.array([[(p & m) == m for m in local] for p in patterns], dtype=np.int64)
-    seeds = np.zeros((form.size_n, form.size_n, len(local), len(local)), dtype=np.int64)
-    for i, k, mask_i, mask_k, num in seeded:
-        seeds[i, k, column[mask_i], column[mask_k]] = num
-    return zeta @ seeds @ zeta.T
-
-
-def row_digit_bits(form: Formulation) -> np.ndarray:
-    """uint64 local bit pattern of each value of a row's digit.
-
-    On the hypercube kinds a row's digit is its bit pattern (R = 2^row_width
-    values); on the Dicke space it is the row's location j, whose pattern is
-    the single bit j (R = N values).
-    """
-    if form.kind is FormulationKind.QUBO_DICKE:
-        return np.left_shift(np.uint64(1), np.arange(form.size_n, dtype=np.uint64))
-    return np.arange(1 << form.row_width, dtype=np.uint64)
-
-
-def dicke_rank_to_bits(form: Formulation, ranks) -> np.ndarray:
-    """uint64 bitmasks of the rank-th row-wise assignments (scalar or array of ranks).
-
-    Row i's digit is the mixed-radix digit (rank // N^i) % N, as in
-    objective_values; its row_digit_bits pattern sits at bit i*N.  The low
-    and the high half of the rows are each looked up in one small table,
-    built once per N.
-    """
-    n = form.size_n
-    split = n // 2
-    low_rows, high_rows = _dicke_half_tables(n)
-    ranks = np.asarray(ranks)
-    flat = ranks.reshape(-1)
-    high = flat // n**split
-    bits = high_rows[high]
-    bits |= low_rows[np.remainder(flat, n**split, out=high)]
-    return bits.reshape(ranks.shape)
-
-
-@lru_cache(maxsize=None)
-def _dicke_half_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only bitmasks of rows [0, n//2) and [n//2, n), indexed by their mixed-radix digits."""
-    patterns = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))  # row_digit_bits on the Dicke space
-    tables = [np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64)]
-    split = n // 2
-    for row in range(n):
-        half = int(row >= split)
-        shifted = patterns << np.uint64(row * n)
-        tables[half] = (shifted[:, None] | tables[half]).ravel()  # row's digit most significant
-    for table in tables:
-        table.flags.writeable = False
-    return tables[0], tables[1]
-
-
-def value_register_width(form: Formulation, y_max_shift: float = 0.0) -> int:
-    """Number of value qubits needed to hold E(x) - y in two's complement.
-
-    The register must cover the objective range widened by the largest |y|
-    the adaptive loop may subtract.
-    """
-    lo, hi = value_bounds(form)
-    shift = abs(y_max_shift)
-    return width_for_range(lo - shift, hi + shift)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, gas as gas_mod
-from .circuits import build_state_prep, count_gates, value_bounds, width_for_range
+from .circuits import build_state_prep, count_gates, width_for_range
 from .encodings import FormulationKind, encode
 from .qap import brute_force_optimum, format_qaplib, parse_qaplib, random_instance
 from .sim import MAX_QUBITS, StateVector, signed_value
+from .space import value_bounds
 
 KIND_CHOICES = [k.value for k in FormulationKind]
 
@@ -99,8 +100,7 @@ def cmd_gates(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     inst = _load_instance(args.infile)
     form = encode(inst, args.kind)
-    # One fixed y: the register needs exactly the range of E(x) - y, not the
-    # |y|-widened one value_register_width sizes for the adaptive loop.
+    # One fixed y: the register needs exactly the range of E(x) - y.
     lo, hi = value_bounds(form)
     need = width_for_range(lo - args.y, hi - args.y)
     if args.m is not None and args.m < need:

@@ -133,7 +133,7 @@ class Formulation:
         """(den, [den * c for each term of poly, in poly.terms order]).
 
         den is the LCM of the coefficients' Fraction denominators.  Computed on
-        first use and kept, as poly does not change; circuits._integer_terms,
+        first use and kept, as poly does not change; space._integer_terms,
         its one reader, adds the exactness guard.
         """
         ratios = [Fraction(c) for c in self.poly.terms.values()]

@@ -10,12 +10,9 @@ improvement.
 Two interchangeable backends produce the per-iteration samples, and both
 stand on one index.  The search space is enumerated once as exact integer
 values at the objective's common denominator, every kind from the same
-per-row and row-pair tables (circuits.objective_values), and indexed by one
+per-row and row-pair tables (space.objective_values), and indexed by one
 sort of packed (value, state) keys, keeping each state's bitmask
-(SearchSpace).  A space of more than one build block runs each O(size)
-pass of that build as two halves on two threads when two cores are usable
-(the sort as a median partition and two half sorts); the result is
-bit-identical to the one-part build.
+(SearchSpace), on two threads where two cores are usable.
 
 * ``emulated`` -- classical amplification model: a sample is marked
   (objective strictly below the threshold) with the exact Grover probability
@@ -38,24 +35,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import (
-    _INDEX_BLOCK,
+from .circuits import width_for_range
+from .encodings import Formulation, FormulationKind
+from .space import (
     EMULATION_SPACE_CAP,
+    INDEX_BLOCK,
     SpaceScaleError,
-    _index_parts,
-    _run_parts,
     dicke_rank_to_bits,
+    index_parts,
     objective_denominator,
     objective_values,
-    width_for_range,
+    run_parts,
 )
-from .encodings import Formulation, FormulationKind
 
 GROWTH_FACTOR = 8.0 / 7.0
+# A KnownOptimum run stops once its threshold is within this of the optimum.
+OPTIMUM_TOL = 1e-9
 # Iterations served by one rng.random call of a run; the stream is read in
 # order, so trajectories do not depend on this length.
 UNIFORM_BLOCK = 64
@@ -88,6 +88,14 @@ def marked_probability(marked: int, size: int, rotations: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+class LevelTable(NamedTuple):
+    """Per run of equal sorted values: start rank, count, and value times objective_denominator."""
+
+    starts: np.ndarray
+    counts: np.ndarray
+    numerators: np.ndarray
+
+
 class SearchSpace:
     """Enumerated objective values over a formulation's search space.
 
@@ -97,41 +105,36 @@ class SearchSpace:
     array lookup.  The index is one in-place sort of uint64 keys packing each
     state's exact integer value (at objective_denominator) above its state
     index: equal values are bit-equal floats, ties keep state-index order,
-    and the order is the same on every host.
+    and the order is the same on every host.  ``levels``, the LevelTable of
+    those values, is built on first access and kept.
 
     Split: each O(size) pass of the build (the last row of objective_values,
     the value range scan, packing the keys, sorting, unpacking them into
     values and order) runs as two parts, one in the caller and one on a
-    thread, when the space spans more than one _INDEX_BLOCK and
-    os.sched_getaffinity (or os.cpu_count) gives at least two cores;
-    otherwise as one part, with no partition and no thread.  The two-part
-    sort is one in-place ``key.partition(size // 2)`` and then the two
-    halves sorted at the same time: the keys are unique, so this is the
-    order of one full sort, and both part counts give bit-identical arrays.
+    thread, when index_parts says so; otherwise as one part, with no
+    partition and no thread.  The two-part sort is one in-place
+    ``key.partition(size // 2)`` and then the two halves sorted at the same
+    time: the keys are unique, so this is the order of one full sort, and
+    both part counts give bit-identical arrays.
 
     Memory: the build holds the key buffer (8 bytes per state; it becomes
     ``sorted_values``) and ``order`` (4 or 8 bytes per state) plus a few
     blocks of temporaries.  Every pass after objective_values (packing the
     keys, unpacking them into values and order, mapping Dicke ranks to
-    bitmasks) runs in place, in blocks of _INDEX_BLOCK / parts entries, so
+    bitmasks) runs in place, in blocks of INDEX_BLOCK / parts entries, so
     two parts together hold no more temporaries than one; the partition
     and the half sorts run in place.
     """
 
     def __init__(self, form: Formulation):
-        size = form.space_size
-        if size > EMULATION_SPACE_CAP:
-            raise SpaceScaleError(
-                f"search space of {size} states exceeds the enumeration cap {EMULATION_SPACE_CAP}"
-            )
-        self.size = size
+        self.size = size = form.space_size
         levels = objective_values(form)
         self._den = den = objective_denominator(form)
         # Each O(size) pass below runs as `parts` pieces of the buffer, split at
         # cuts, in blocks of `step` entries.
-        parts = _index_parts(size)
+        parts = index_parts(size)
         cuts = [size * part // parts for part in range(parts + 1)]
-        step = _INDEX_BLOCK // parts
+        step = INDEX_BLOCK // parts
 
         def blocks(part: int) -> list[slice]:
             stop = cuts[part + 1]
@@ -143,7 +146,7 @@ class SearchSpace:
             piece = levels[cuts[part] : cuts[part + 1]]
             extremes[part] = (int(piece.min()), int(piece.max()))
 
-        _run_parts(scan, parts)
+        run_parts(scan, parts)
         lo = min(low for low, _ in extremes)
         span = max(high for _, high in extremes) - lo
         shift = (size - 1).bit_length()
@@ -161,12 +164,12 @@ class SearchSpace:
                 block |= state[: block.size]
                 state += step
 
-        _run_parts(pack, parts)
+        run_parts(pack, parts)
         # Keys are unique (they hold the state), so splitting them at the median
         # and sorting each half is one full sort.
         if parts > 1:
             key.partition(cuts[1])
-        _run_parts(lambda part: key[cuts[part] : cuts[part + 1]].sort(), parts)
+        run_parts(lambda part: key[cuts[part] : cuts[part + 1]].sort(), parts)
         # Unsigned above 31 variables: a qubo-d mask at N=8 sets bit 63.
         order = np.empty(size, dtype=np.uint64 if form.num_vars > 31 else np.int32)
         values = key.view(np.float64)
@@ -181,10 +184,20 @@ class SearchSpace:
                 levels[rows] += lo
                 np.divide(levels[rows], den, out=values[rows])
 
-        _run_parts(unpack, parts)
+        run_parts(unpack, parts)
         self.order = order
         self.sorted_values = values
         self._last_count = (math.nan, 0, 0.0)
+
+    @cached_property
+    def levels(self) -> LevelTable:
+        """The LevelTable of sorted_values; the numerators are exact (int64)."""
+        values = self.sorted_values
+        starts = np.r_[0, np.flatnonzero(values[1:] != values[:-1]) + 1]
+        numerators = np.rint(values[starts] * self._den)
+        if not np.array_equal(numerators / self._den, values[starts]):
+            raise ValueError(f"a value level is not a multiple of 1/{self._den}")
+        return LevelTable(starts, np.diff(starts, append=self.size), numerators.astype(np.int64))
 
     def count_below(self, threshold: float) -> int:
         """Number of states whose value is strictly below `threshold`."""
@@ -247,8 +260,8 @@ class ExactEngine(SearchSpace):
     M = 2^m and the Fejer amplitude a(d) = sin(pi d) / (M sin(pi d / M)).
     State x is marked (sign bit set) with weight
     w(delta_x) = sum_{z=M/2}^{M-1} |a(delta_x - z)|^2, a function of E(x); so
-    the engine is the SearchSpace index plus one weight per value level (run
-    of equal sorted values).  The marked mass sin^2(theta) is the mean of w,
+    the engine is the SearchSpace index plus one weight per level of its
+    ``levels`` table.  The marked mass sin^2(theta) is the mean of w,
     and the marked and unmarked parts have marginals p_m ~ w and p_u ~ 1 - w.
     A Grover step (sign-bit oracle, reflection about the prepared state)
     rotates the plane of those parts, so after L steps x is read with
@@ -272,15 +285,7 @@ class ExactEngine(SearchSpace):
         self.scale = float(self._den if scale is None else scale)
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"register scale {scale!r} must be positive and finite")
-        # The level table: the start rank and count of each run of equal
-        # sorted values, and its value as an exact numerator over den.
-        values = self.sorted_values
-        self._starts = np.r_[0, np.flatnonzero(values[1:] != values[:-1]) + 1]
-        self._counts = np.diff(self._starts, append=self.size)
-        self._levels = np.rint(values[self._starts] * self._den)
-        if not np.array_equal(self._levels / self._den, values[self._starts]):
-            raise ValueError(f"a value level is not a multiple of 1/{self._den}")
-        self.lo, self.hi = float(values[0]), float(values[-1])
+        self.lo, self.hi = float(self.sorted_values[0]), float(self.sorted_values[-1])
         span = self.scale * (self.hi - self.lo)
         self.width = width_for_range(-span, span)
         self._last_split = (math.nan, None)
@@ -345,7 +350,7 @@ class ExactEngine(SearchSpace):
         t = np.round(threshold * den)
         if t / den != threshold:
             t = threshold * den
-        delta = self.scale * (self._levels - t) / den
+        delta = self.scale * (self.levels.numerators - t) / den
         # round, not floor: f stays in [-1/2, 1/2], where sin(pi f) keeps its precision.
         whole = np.round(delta)
         frac = delta - whole
@@ -391,7 +396,7 @@ class ExactEngine(SearchSpace):
             return split
         weights = self._level_weights(threshold)
         parts = np.stack([1.0 - weights, weights])
-        cumulative = np.cumsum(np.pad(parts * self._counts, ((0, 0), (1, 0))), axis=1)
+        cumulative = np.cumsum(np.pad(parts * self.levels.counts, ((0, 0), (1, 0))), axis=1)
         marked_mass = float(cumulative[1, -1] / self.size)
         split = (marked_mass, parts, cumulative, _grover_angle(marked_mass))
         self._last_split = (threshold, split)
@@ -404,7 +409,7 @@ class ExactEngine(SearchSpace):
         masses = cumulative[:, -1:]
         marginals = parts / np.where(masses > 0.0, masses, 1.0)
         probs = np.zeros(1 << self.form.num_vars)
-        probs[self.order] = np.repeat((1.0 - p) * marginals[0] + p * marginals[1], self._counts)
+        probs[self.order] = np.repeat((1.0 - p) * marginals[0] + p * marginals[1], self.levels.counts)
         return probs
 
     def sample(self, threshold: float, rotations: int, rng: np.random.Generator) -> tuple[int, float]:
@@ -421,7 +426,8 @@ class ExactEngine(SearchSpace):
         level = int(np.searchsorted(masses, target, side="right")) - 1
         # At weights 0 and 1 the masses are integer counts, so this is exact.
         offset = int((target - masses[level]) / parts[branch, level])
-        rank = self._starts[level] + min(offset, self._counts[level] - 1)
+        starts, counts, _ = self.levels
+        rank = starts[level] + min(offset, counts[level] - 1)
         return int(self.order[rank]), float(self.sorted_values[rank])
 
     def sample_many(
@@ -440,10 +446,9 @@ class ExactEngine(SearchSpace):
 
 @dataclass(frozen=True)
 class KnownOptimum:
-    """Stop once the threshold reaches a known optimal value."""
+    """Stop once the threshold is within OPTIMUM_TOL of a known optimal value."""
 
     value: float
-    tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -522,12 +527,6 @@ def _uniform_triples(rng: np.random.Generator):
         yield from zip(block, block, block)
 
 
-def _make_sampler(form: Formulation, config: GasConfig, space, engine):
-    if config.backend == "emulated":
-        return space if space is not None else SearchSpace(form)
-    return engine if engine is not None else ExactEngine(form)
-
-
 def run_gas(
     form: Formulation,
     config: GasConfig,
@@ -539,14 +538,22 @@ def run_gas(
     The run's generator, seeded from ``config.seed``, gives one
     ``uniform_sample`` draw and then three uniforms per iteration: the
     rotation count, the branch and the rank within it.  Pass a prebuilt
-    SearchSpace or ExactEngine to amortize enumeration across many runs of
-    the same formulation.
+    SearchSpace (emulated backend) or ExactEngine (exact backend) to
+    amortize enumeration across many runs of the same formulation; passing
+    the one that ``config.backend`` does not select raises ValueError.
     """
-    sampler = _make_sampler(form, config, space, engine)
+    if config.backend == "emulated":
+        if engine is not None:
+            raise ValueError("engine= needs backend='exact'; the emulated backend takes space=")
+        sampler = space if space is not None else SearchSpace(form)
+    else:
+        if space is not None:
+            raise ValueError("space= needs backend='emulated'; the exact backend takes engine=")
+        sampler = engine if engine is not None else ExactEngine(form)
     rng = np.random.default_rng(config.seed)
     sqrt_cap = math.sqrt(sampler.size)
     term = config.termination
-    target = term.value + term.tol if isinstance(term, KnownOptimum) else -math.inf
+    target = term.value + OPTIMUM_TOL if isinstance(term, KnownOptimum) else -math.inf
     limit = term.limit if isinstance(term, ThresholdStall) else math.inf
 
     bits0, value0 = sampler.uniform_sample(rng)

@@ -198,7 +198,7 @@ class MultilinearPolynomial:
         monomial's coefficient at its own mask, then accumulate along every
         variable axis.  O(n * 2^n) numpy work instead of O(terms * 2^n).
         """
-        from .circuits import EMULATION_SPACE_CAP, SpaceScaleError  # circuits imports this module
+        from .space import EMULATION_SPACE_CAP, SpaceScaleError  # space imports this via encodings
 
         n = self.num_vars
         if 1 << n > EMULATION_SPACE_CAP:

@@ -25,7 +25,8 @@ from operator import and_, or_
 
 import numpy as np
 
-from .circuits import EMULATION_SPACE_CAP, Circuit, Gate, SpaceScaleError, gate_outside
+from .circuits import Circuit, Gate, gate_outside
+from .space import EMULATION_SPACE_CAP, SpaceScaleError
 
 MAX_QUBITS = EMULATION_SPACE_CAP.bit_length() - 1
 

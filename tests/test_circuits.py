@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qapgas import space as space_module
 from qapgas.analysis import (
     ALL_KINDS,
     cnot_total,
@@ -25,17 +26,13 @@ from qapgas.circuits import (
     circuit_to_text,
     count_gates,
     dicke_gates,
-    dicke_rank_to_bits,
     invert_gates,
     iqft_gates,
-    objective_denominator,
-    objective_values,
     phase_polynomial_gates,
     qft_gates,
     reduce_angle,
     substitute_rz,
-    value_bounds,
-    value_register_width,
+    width_for_range,
 )
 from qapgas.encodings import (
     Formulation,
@@ -43,13 +40,11 @@ from qapgas.encodings import (
     encode,
     encode_hubo_hw,
     encode_qubo,
-    encode_qubo_dicke,
 )
-from qapgas.gas import ExactEngine, SearchSpace
 from qapgas.polynomials import MultilinearPolynomial
 from qapgas.qap import QapInstance, dense_instance, generic_instance, random_instance
-from qapgas.samples import sample_instance
 from qapgas.sim import StateVector, readout_value, readout_vars
+from qapgas.space import value_bounds
 
 
 def toy_formulation(poly: MultilinearPolynomial) -> Formulation:
@@ -141,25 +136,22 @@ class TestValueRegisterWidth:
     def test_small_range(self):
         # values in [0, 3]: need -4 <= 0 and 3 < 4 -> m = 3
         form = toy_formulation(MultilinearPolynomial(2, {(0,): 1, (1,): 2}))
-        assert value_register_width(form) == 3
+        assert width_for_range(*value_bounds(form)) == 3
 
     def test_fig_configuration(self):
-        assert value_register_width(toy_formulation(FIG_POLY)) == 3
+        assert width_for_range(*value_bounds(toy_formulation(FIG_POLY))) == 3
 
     def test_threshold_shift_widens(self):
         form = toy_formulation(MultilinearPolynomial(2, {(0,): 1, (1,): 2}))
-        assert value_register_width(form, y_max_shift=3.0) == 4
+        lo, hi = value_bounds(form)
+        assert width_for_range(lo - 3.0, hi + 3.0) == 4
 
-    def test_coefficient_bound_dominates_exhaustive(self):
+    def test_coefficient_bound_dominates_exhaustive(self, monkeypatch):
         form = encode_qubo(random_instance(3, seed=9))
-        exhaustive = value_register_width(form)
-        coeff_bound = value_register_width(form, y_max_shift=0.0)
-        # same call path here; compare against the pure coefficient bound
-        from qapgas.circuits import value_bounds, width_for_range
-
-        lo, hi = value_bounds(form, exhaustive_limit=0)  # force coefficient bound
+        exhaustive = width_for_range(*value_bounds(form))
+        monkeypatch.setattr(space_module, "EXHAUSTIVE_LIMIT", 0)  # force the coefficient bound
+        lo, hi = value_bounds(form)
         assert width_for_range(lo, hi) >= exhaustive
-        assert coeff_bound == exhaustive
 
 
 class TestStatePrep:
@@ -218,7 +210,7 @@ class TestStatePrep:
 
     def test_hubo_readout_matches_table(self):
         form = encode_hubo_hw(random_instance(2, seed=3))
-        width = value_register_width(form)
+        width = width_for_range(*value_bounds(form))
         prep = build_state_prep(form, width, scale=1.0)
         sv = StateVector(prep.num_qubits).apply_all(prep.gates)
         probs = sv.probabilities().reshape(1 << width, 1 << form.num_vars)
@@ -485,100 +477,6 @@ class TestReadoutHelpers:
         assert readout_value(bits, circuit) == -3
         bits = 0b011_01
         assert readout_value(bits, circuit) == 3
-
-
-class TestObjectiveValues:
-    @pytest.mark.parametrize(
-        "kind, n",
-        [("qubo-h", 2), ("qubo-h", 3)]
-        + [("qubo-d", n) for n in (2, 3, 4, 5)]
-        + [("hubo-hw", n) for n in (2, 3, 4)],
-    )
-    @pytest.mark.parametrize("make", [random_instance, generic_instance, dense_instance])
-    def test_numerators_equal_exact_evaluation(self, make, kind, n):
-        form = encode(make(n, seed=40 + n), kind)
-        den = objective_denominator(form)
-        values = objective_values(form)
-        assert values.dtype == np.int64
-        states = np.arange(form.space_size)
-        if kind == "qubo-d":
-            states = dicke_rank_to_bits(form, states)
-        assert values.tolist() == [form.poly.evaluate(int(s)) * den for s in states]
-
-    @pytest.mark.parametrize("kind", list(FormulationKind))
-    def test_term_over_three_row_blocks_rejected(self, kind):
-        """Row tables hold terms of at most two rows; a wider term raises, never mis-evaluates."""
-        width = 2 if kind is FormulationKind.HUBO_HW else 3
-        poly = MultilinearPolynomial(3 * width, {(): 1, (0,): 2, (0, width, 2 * width): -3})
-        inst = QapInstance(3, np.zeros((3, 3)), np.zeros((3, 3)))
-        form = Formulation(kind, poly, 3 * width, 3, (1.0, 1.0), inst)
-        for compute in (objective_values, value_bounds, SearchSpace):
-            with pytest.raises(ValueError, match="spans 3 row blocks"):
-                compute(form)
-
-    @pytest.mark.parametrize("n", [2, 4])
-    @pytest.mark.parametrize("make", [random_instance, generic_instance, dense_instance])
-    def test_power_of_two_hubo_space_relabels_dicke_space(self, make, n):
-        """At N = 2^k every hubo-hw code is a location, so the row penalty vanishes and
-        the hubo-hw space holds exactly the qubo-d values.  Their query laws are then
-        identical: criterion 8's N=4 median ratio of 1 is a theorem, not a statistic."""
-        for seed in range(5):
-            inst = make(n, seed=seed)
-            assert_same_values(encode_qubo_dicke(inst), encode_hubo_hw(inst))
-
-    def test_power_of_two_hubo_space_relabels_dicke_space_at_n8(self):
-        inst = sample_instance(8)
-        assert_same_values(encode_qubo_dicke(inst), encode_hubo_hw(inst))
-
-
-class TestDickeEnumeration:
-    def test_rank_to_bits_is_mixed_radix(self):
-        n = 4
-        form = encode_qubo_dicke(random_instance(n, seed=1))
-
-        def reference(rank):
-            return sum(1 << (i * n + (rank // n**i) % n) for i in range(n))
-
-        ranks = np.arange(n**n)
-        masks = dicke_rank_to_bits(form, ranks)
-        assert masks.dtype == np.uint64
-        assert masks.tolist() == [reference(int(r)) for r in ranks]
-        assert len(set(masks.tolist())) == n**n
-        for rank in (0, 1, n, n**n - 1):
-            assert int(dicke_rank_to_bits(form, rank)) == reference(rank)
-
-    def test_off_grid_coefficients_raise(self):
-        form = encode_qubo_dicke(off_grid_instance())
-        with pytest.raises(ValueError, match="common denominator"):
-            objective_values(form)
-
-    @pytest.mark.parametrize("kind", ["qubo-h", "hubo-hw"])
-    def test_off_grid_hypercube_coefficients_raise(self, kind):
-        form = encode(off_grid_instance(), kind)
-        for compute in (objective_values, value_bounds, SearchSpace, ExactEngine):
-            with pytest.raises(ValueError, match="common denominator"):
-                compute(form)
-
-
-def assert_same_values(form: Formulation, other: Formulation) -> None:
-    """Same denominator and the same sorted numerators: the two spaces are relabellings."""
-    assert objective_denominator(form) == objective_denominator(other)
-    values = objective_values(form)
-    values.sort()
-    other_values = objective_values(other)
-    other_values.sort()
-    assert np.array_equal(values, other_values)
-
-
-def off_grid_instance() -> QapInstance:
-    """Entries 1/p for six large primes: a common denominator far beyond 2^53."""
-    primes = (999_983, 999_979, 999_961, 999_959, 999_953, 999_931)
-    flow = np.zeros((3, 3))
-    dist = np.zeros((3, 3))
-    for (i, j), p, q in zip(((0, 1), (0, 2), (1, 2)), primes[:3], primes[3:]):
-        flow[i, j] = flow[j, i] = 1 / p
-        dist[i, j] = dist[j, i] = 1 / q
-    return QapInstance(3, flow, dist)
 
 
 # SHA-256 of circuit_to_text for build_state_prep and build_grover_operator on

@@ -192,7 +192,7 @@ class TestPenaltyStructure:
             form.evaluate(form.encode_permutation(p)) for p in all_permutations(n)
         )
         if form.kind is FormulationKind.QUBO_DICKE:
-            from qapgas.circuits import dicke_rank_to_bits
+            from qapgas.space import dicke_rank_to_bits
 
             states = [dicke_rank_to_bits(form, r) for r in range(n**n)]
         else:

@@ -10,13 +10,6 @@ import numpy as np
 import pytest
 
 from qapgas import gas as gas_module
-from qapgas.circuits import (
-    _index_parts,
-    _run_parts,
-    dicke_rank_to_bits,
-    objective_denominator,
-    objective_values,
-)
 from qapgas.encodings import (
     Formulation,
     FormulationKind,
@@ -26,14 +19,11 @@ from qapgas.encodings import (
     search_space_sizes,
 )
 from qapgas.gas import (
-    EMULATION_SPACE_CAP,
     UNIFORM_BLOCK,
-    _INDEX_BLOCK,
     ExactEngine,
     GasConfig,
     KnownOptimum,
     SearchSpace,
-    SpaceScaleError,
     ThresholdStall,
     cdf_experiment,
     draw_rotation_count,
@@ -43,6 +33,16 @@ from qapgas.gas import (
 from qapgas.polynomials import MultilinearPolynomial
 from qapgas.qap import QapInstance, brute_force_optimum, objective, random_instance
 from qapgas.samples import sample_instance, sample_optimum
+from qapgas.space import (
+    EMULATION_SPACE_CAP,
+    INDEX_BLOCK,
+    SpaceScaleError,
+    dicke_rank_to_bits,
+    index_parts,
+    objective_denominator,
+    objective_values,
+    run_parts,
+)
 
 
 def dyadic_instance(n, seed):
@@ -61,7 +61,7 @@ def assert_marks_exactly_the_levels_below(engine, y, count_below):
     the rest, and its marked mass is count_below / size with ==."""
     marked_mass, (unmarked, marked), *_ = engine._split(y)
     assert marked_mass == count_below / engine.size
-    below = engine.sorted_values[engine._starts] < y
+    below = engine.sorted_values[engine.levels.starts] < y
     np.testing.assert_array_equal(marked, below)
     np.testing.assert_array_equal(unmarked, ~below)
 
@@ -219,7 +219,7 @@ class TestSearchSpace:
         finally:
             tracemalloc.stop()
         held = space.order.nbytes + space.sorted_values.nbytes
-        assert peak <= held + 4 * _INDEX_BLOCK * 8
+        assert peak <= held + 4 * INDEX_BLOCK * 8
 
     def test_dicke_space_at_n8_finds_the_optimum(self):
         """64 variables: ranks need no 64-bit mask, and masks with bit 63 set decode."""
@@ -286,7 +286,7 @@ class TestSplitBuild:
     def test_two_core_build_equals_one_full_sort(self, monkeypatch, kind, n, parts):
         usable_cores(monkeypatch, 2)
         form = encode(random_instance(n, seed=2), kind)
-        assert _index_parts(form.space_size) == parts
+        assert index_parts(form.space_size) == parts
         space = SearchSpace(form)
         order, values = full_sort_reference(form)
         assert np.array_equal(space.order, order)
@@ -298,7 +298,7 @@ class TestSplitBuild:
         usable_cores(monkeypatch, 2)
         two_numerators, two = objective_values(form), SearchSpace(form)
         usable_cores(monkeypatch, 1)
-        assert _index_parts(form.space_size) == 1
+        assert index_parts(form.space_size) == 1
         one_numerators, one = objective_values(form), SearchSpace(form)
         assert np.array_equal(one_numerators, two_numerators)
         assert one.order.dtype == two.order.dtype
@@ -307,16 +307,16 @@ class TestSplitBuild:
 
     def test_part_count_rule(self, monkeypatch):
         usable_cores(monkeypatch, 2)
-        assert _index_parts(_INDEX_BLOCK) == 1
-        assert _index_parts(_INDEX_BLOCK + 1) == 2
+        assert index_parts(INDEX_BLOCK) == 1
+        assert index_parts(INDEX_BLOCK + 1) == 2
         usable_cores(monkeypatch, 1)
-        assert _index_parts(EMULATION_SPACE_CAP) == 1
+        assert index_parts(EMULATION_SPACE_CAP) == 1
         # Without an affinity call, the core count decides.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert _index_parts(EMULATION_SPACE_CAP) == 2
+        assert index_parts(EMULATION_SPACE_CAP) == 2
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _index_parts(EMULATION_SPACE_CAP) == 1
+        assert index_parts(EMULATION_SPACE_CAP) == 1
 
     def test_one_block_builds_start_no_thread(self, monkeypatch):
         usable_cores(monkeypatch, 2)
@@ -363,7 +363,7 @@ class TestSplitBuild:
 
         before = threading.active_count()
         with pytest.raises(ValueError, match="caller half failed"):
-            _run_parts(task, 2)
+            run_parts(task, 2)
         assert finished == [1]
         assert threading.active_count() == before
 
@@ -496,6 +496,14 @@ class TestRunGas:
             GasConfig(lambda_growth=1.0)
         with pytest.raises(ValueError):
             GasConfig(backend="quantum")
+
+    def test_sampler_the_backend_does_not_select_raises(self):
+        """A prebuilt sampler is never silently replaced by a fresh one of the other backend."""
+        form = encode(random_instance(3, seed=14), "hubo-hw")
+        with pytest.raises(ValueError, match="engine= needs backend='exact'"):
+            run_gas(form, GasConfig(seed=5), engine=ExactEngine(form))
+        with pytest.raises(ValueError, match="space= needs backend='emulated'"):
+            run_gas(form, GasConfig(backend="exact", seed=5), space=SearchSpace(form))
 
 
 class TestExactEngine:

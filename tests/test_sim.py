@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qapgas.circuits import Gate, SpaceScaleError, build_dicke, build_state_prep, dicke_gates
+from qapgas.circuits import Gate, build_dicke, build_state_prep, dicke_gates
 from qapgas.encodings import encode_hubo_hw
 from qapgas.qap import random_instance
 from qapgas.sim import MAX_QUBITS, StateVector, _subset_products, run_circuit
+from qapgas.space import SpaceScaleError
 
 
 class TestSingleGates:
