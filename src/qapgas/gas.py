@@ -11,8 +11,9 @@ Two interchangeable backends produce the per-iteration samples, and both
 stand on one index.  The search space is enumerated once as exact integer
 values at the objective's common denominator, every kind from the same
 per-row and row-pair tables (space.objective_values), and indexed by one
-sort of packed (value, state) keys, keeping each state's bitmask
-(SearchSpace), on two threads where two cores are usable.
+sort of packed (value, state) keys on two threads where two cores are
+usable.  The sorted keys are the index (SearchSpace): each draw decodes its
+state's bitmask and value from one key.
 
 * ``emulated`` -- classical amplification model: a sample is marked
   (objective strictly below the threshold) with the exact Grover probability
@@ -34,6 +35,7 @@ classical sample is not counted; per-run reports carry both conventions.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -46,6 +48,7 @@ from .space import (
     EMULATION_SPACE_CAP,
     INDEX_BLOCK,
     SpaceScaleError,
+    dicke_rank_decoder,
     dicke_rank_to_bits,
     index_parts,
     objective_denominator,
@@ -96,112 +99,187 @@ class LevelTable(NamedTuple):
     numerators: np.ndarray
 
 
-class SearchSpace:
-    """Enumerated objective values over a formulation's search space.
+def _pieces(size: int) -> list[slice]:
+    """The index_parts(size) pieces that each O(size) pass over a size-entry buffer runs as."""
+    parts = index_parts(size)
+    cuts = [size * part // parts for part in range(parts + 1)]
+    return [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
 
-    Values are held sorted; ``order`` holds the variable bitmask of each
-    sorted state (for the Dicke space, of each sorted support rank), so
-    threshold counts are binary searches and class-uniform sampling is an
-    array lookup.  The index is one in-place sort of uint64 keys packing each
-    state's exact integer value (at objective_denominator) above its state
-    index: equal values are bit-equal floats, ties keep state-index order,
-    and the order is the same on every host.  ``levels``, the LevelTable of
-    those values, is built on first access and kept.
+
+def _each_block(size: int, task: Callable[[slice], object]) -> None:
+    """task(rows) on every block of INDEX_BLOCK / parts entries of a size-entry buffer,
+    each piece's blocks in order, the pieces at the same time (run_parts)."""
+    pieces = _pieces(size)
+    step = INDEX_BLOCK // len(pieces)
+
+    def run(part: int) -> None:
+        piece = pieces[part]
+        for start in range(piece.start, piece.stop, step):
+            task(slice(start, min(start + step, piece.stop)))
+
+    run_parts(run, len(pieces))
+
+
+def _key_decoder(
+    keys: np.ndarray, shift: int, lo: int, den: int, to_bits: Callable[[int], int] | None
+) -> Callable[[int], tuple[int, float]]:
+    """entry(rank): the (bitmask, value) of the rank-th sorted key.
+
+    The state is key & mask, mapped by to_bits where the state is a Dicke
+    rank; the value is ((key >> shift) + lo) / den, an int over int division
+    that rounds once, so it is np.divide's float of the int64 numerator bit
+    for bit (objective_denominator keeps both below 2^53).  The key is read
+    through a memoryview, as a Python int with no numpy scalar.
+    """
+    view = memoryview(keys)
+    mask = (1 << shift) - 1
+    if to_bits is None:
+        def entry(rank: int) -> tuple[int, float]:
+            key = view[rank]
+            return key & mask, ((key >> shift) + lo) / den
+    else:
+        def entry(rank: int) -> tuple[int, float]:
+            key = view[rank]
+            return to_bits(key & mask), ((key >> shift) + lo) / den
+    return entry
+
+
+class SearchSpace:
+    """Enumerated objective values over a formulation's search space, as one sorted key buffer.
+
+    The index is one in-place sort of uint64 keys that pack each state's
+    exact integer value (its numerator at objective_denominator, less the
+    smallest one, lo) above its state index: key = (n - lo) << shift | state.
+    Equal values are bit-equal floats, ties keep state-index order, and the
+    order is the same on every host.  A draw reads one key and decodes it:
+    the state is key & mask (on the Dicke space a support rank, mapped to
+    its bitmask by dicke_rank_decoder) and the value ((key >> shift) + lo) /
+    den.  A threshold count is one binary search of a key bound, and
+    class-uniform sampling is one lookup.  ``order`` and ``sorted_values``,
+    every sorted state's bitmask and value, are unpacked from the keys on
+    each access and not kept; ``levels``, the LevelTable of the values, is
+    built on first access and kept.
 
     Split: each O(size) pass of the build (the last row of objective_values,
-    the value range scan, packing the keys, sorting, unpacking them into
-    values and order) runs as two parts, one in the caller and one on a
+    the value range scan, packing the keys, sorting them) and of the arrays
+    built on access runs as two parts, one in the caller and one on a
     thread, when index_parts says so; otherwise as one part, with no
     partition and no thread.  The two-part sort is one in-place
     ``key.partition(size // 2)`` and then the two halves sorted at the same
     time: the keys are unique, so this is the order of one full sort, and
-    both part counts give bit-identical arrays.
+    both part counts give bit-identical keys.
 
-    Memory: the build holds the key buffer (8 bytes per state; it becomes
-    ``sorted_values``) and ``order`` (4 or 8 bytes per state) plus a few
-    blocks of temporaries.  Every pass after objective_values (packing the
-    keys, unpacking them into values and order, mapping Dicke ranks to
-    bitmasks) runs in place, in blocks of INDEX_BLOCK / parts entries, so
-    two parts together hold no more temporaries than one; the partition
-    and the half sorts run in place.
+    Memory: an instance holds one O(size) array, the key buffer (8 bytes
+    per state; it is the buffer objective_values returns).  Packing runs in
+    place, in blocks of INDEX_BLOCK / parts entries, so two parts together
+    hold no more temporaries than one; the partition and the half sorts run
+    in place.  ``order`` (4 bytes per state, 8 above 31 variables) and
+    ``sorted_values`` (8) are new arrays on every access, filled block by
+    block.
     """
 
     def __init__(self, form: Formulation):
+        self.form = form
         self.size = size = form.space_size
         levels = objective_values(form)
         self._den = den = objective_denominator(form)
-        # Each O(size) pass below runs as `parts` pieces of the buffer, split at
-        # cuts, in blocks of `step` entries.
-        parts = index_parts(size)
-        cuts = [size * part // parts for part in range(parts + 1)]
-        step = INDEX_BLOCK // parts
-
-        def blocks(part: int) -> list[slice]:
-            stop = cuts[part + 1]
-            return [slice(start, min(start + step, stop)) for start in range(cuts[part], stop, step)]
-
-        extremes = [(0, 0)] * parts
+        pieces = _pieces(size)
+        extremes = [(0, 0)] * len(pieces)
 
         def scan(part: int) -> None:
-            piece = levels[cuts[part] : cuts[part + 1]]
+            piece = levels[pieces[part]]
             extremes[part] = (int(piece.min()), int(piece.max()))
 
-        run_parts(scan, parts)
-        lo = min(low for low, _ in extremes)
-        span = max(high for _, high in extremes) - lo
-        shift = (size - 1).bit_length()
+        run_parts(scan, len(pieces))
+        self._lo = lo = min(low for low, _ in extremes)
+        self._span = span = max(high for _, high in extremes) - lo
+        self._shift = shift = (size - 1).bit_length()
         if span.bit_length() + shift > 64:
             raise SpaceScaleError(f"value span {span} and {shift} state bits overflow a 64-bit key")
-        # One buffer, seen as int64 levels, uint64 keys and float64 values.
-        key = levels.view(np.uint64)
+        # One buffer, seen as int64 levels and then as uint64 keys.
+        self._keys = key = levels.view(np.uint64)
 
-        def pack(part: int) -> None:  # key = (level - lo) << shift | state
-            state = np.arange(cuts[part], min(cuts[part] + step, cuts[part + 1]), dtype=np.uint64)
-            for rows in blocks(part):
-                levels[rows] -= lo
-                block = key[rows]
-                block <<= shift
-                block |= state[: block.size]
-                state += step
+        def pack(rows: slice) -> None:  # key = (level - lo) << shift | state
+            levels[rows] -= lo
+            block = key[rows]
+            block <<= shift
+            block |= np.arange(rows.start, rows.stop, dtype=np.uint64)
 
-        run_parts(pack, parts)
+        _each_block(size, pack)
         # Keys are unique (they hold the state), so splitting them at the median
         # and sorting each half is one full sort.
-        if parts > 1:
-            key.partition(cuts[1])
-        run_parts(lambda part: key[cuts[part] : cuts[part + 1]].sort(), parts)
-        # Unsigned above 31 variables: a qubo-d mask at N=8 sets bit 63.
-        order = np.empty(size, dtype=np.uint64 if form.num_vars > 31 else np.int32)
-        values = key.view(np.float64)
-        mask = (1 << shift) - 1
-
-        def unpack(part: int) -> None:
-            for rows in blocks(part):
-                np.bitwise_and(key[rows], mask, out=order[rows], casting="unsafe")
-                if form.kind is FormulationKind.QUBO_DICKE:
-                    order[rows] = dicke_rank_to_bits(form, order[rows])
-                key[rows] >>= shift
-                levels[rows] += lo
-                np.divide(levels[rows], den, out=values[rows])
-
-        run_parts(unpack, parts)
-        self.order = order
-        self.sorted_values = values
+        if len(pieces) > 1:
+            key.partition(pieces[1].start)
+        run_parts(lambda part: key[pieces[part]].sort(), len(pieces))
+        to_bits = dicke_rank_decoder(form.size_n) if form.kind is FormulationKind.QUBO_DICKE else None
+        self._entry = _key_decoder(key, shift, lo, den, to_bits)
         self._last_count = (math.nan, 0, 0.0)
+
+    @property
+    def order(self) -> np.ndarray:
+        """Variable bitmask of each sorted state (Dicke ranks mapped), built on each access.
+
+        int32, or uint64 above 31 variables, where a qubo-d mask at N=8 sets bit 63.
+        """
+        keys, form = self._keys, self.form
+        order = np.empty(self.size, dtype=np.uint64 if form.num_vars > 31 else np.int32)
+        mask = (1 << self._shift) - 1
+
+        def fill(rows: slice) -> None:
+            np.bitwise_and(keys[rows], mask, out=order[rows], casting="unsafe")
+            if form.kind is FormulationKind.QUBO_DICKE:
+                order[rows] = dicke_rank_to_bits(form, order[rows])
+
+        _each_block(self.size, fill)
+        return order
+
+    @property
+    def sorted_values(self) -> np.ndarray:
+        """Value of each sorted state (float64, ascending), built on each access."""
+        keys, shift, lo, den = self._keys, self._shift, self._lo, self._den
+        values = np.empty(self.size)
+
+        def fill(rows: slice) -> None:
+            numerators = (keys[rows] >> shift).view(np.int64)
+            numerators += lo
+            np.divide(numerators, den, out=values[rows])
+
+        _each_block(self.size, fill)
+        return values
 
     @cached_property
     def levels(self) -> LevelTable:
-        """The LevelTable of sorted_values; the numerators are exact (int64)."""
-        values = self.sorted_values
-        starts = np.r_[0, np.flatnonzero(values[1:] != values[:-1]) + 1]
-        numerators = np.rint(values[starts] * self._den)
-        if not np.array_equal(numerators / self._den, values[starts]):
-            raise ValueError(f"a value level is not a multiple of 1/{self._den}")
-        return LevelTable(starts, np.diff(starts, append=self.size), numerators.astype(np.int64))
+        """The LevelTable of the sorted values, read off the keys' exact numerators (int64)."""
+        keys, shift = self._keys, self._shift
+        found: dict[int, np.ndarray] = {}
+
+        def scan(rows: slice) -> None:
+            # A level starts where key >> shift differs from the key before it.
+            before = max(rows.start - 1, 0)
+            level = keys[before : rows.stop] >> shift
+            found[rows.start] = np.flatnonzero(level[1:] != level[:-1]) + (before + 1)
+
+        _each_block(self.size, scan)
+        starts = np.concatenate([np.zeros(1, dtype=np.int64), *(found[first] for first in sorted(found))])
+        numerators = (keys[starts] >> shift).astype(np.int64) + self._lo
+        return LevelTable(starts, np.diff(starts, append=self.size), numerators)
 
     def count_below(self, threshold: float) -> int:
-        """Number of states whose value is strictly below `threshold`."""
-        return int(np.searchsorted(self.sorted_values, threshold, side="left"))
+        """Number of states whose value is strictly below `threshold` (all of them at NaN,
+        which sorts last, as in np.searchsorted of sorted_values)."""
+        lo, den = self._lo, self._den
+        if not threshold <= (lo + self._span) / den:  # above every value, or NaN
+            return self.size
+        if threshold <= lo / den:
+            return 0
+        # The smallest numerator n whose value n / den is at least the threshold;
+        # the product rounds once, so ceil is at most a step off either way.
+        n = math.ceil(threshold * den)
+        while n / den < threshold:
+            n += 1
+        while (n - 1) / den >= threshold:
+            n -= 1
+        return int(self._keys.searchsorted(np.uint64((n - lo) << self._shift)))
 
     def _marked(self, threshold: float, rotations: int) -> tuple[int, float]:
         """Marked count t and the probability of the marked class (exactly 1 when t = size).
@@ -219,11 +297,10 @@ class SearchSpace:
         return t, _rotated_probability(angle, rotations)
 
     def uniform_sample(self, rng: np.random.Generator) -> tuple[int, float]:
-        rank = int(rng.integers(self.size))
-        return int(self.order[rank]), float(self.sorted_values[rank])
+        return self._entry(int(rng.integers(self.size)))
 
     def minimum(self) -> tuple[int, float]:
-        return int(self.order[0]), float(self.sorted_values[0])
+        return self._entry(0)
 
     def sample(self, threshold: float, rotations: int, rng: np.random.Generator) -> tuple[int, float]:
         """One measurement of G^L applied to the prepared state."""
@@ -234,7 +311,7 @@ class SearchSpace:
             rank = int(rng.integers(t))
         else:
             rank = int(rng.integers(t, self.size))
-        return int(self.order[rank]), float(self.sorted_values[rank])
+        return self._entry(rank)
 
     def draw(self, threshold: float, rotations: int, u_branch: float, u_rank: float) -> tuple[int, float]:
         """`sample` driven by two uniforms on [0, 1): the class, then the rank within it."""
@@ -243,7 +320,7 @@ class SearchSpace:
             rank = int(u_rank * t)
         else:
             rank = t + int(u_rank * (self.size - t))
-        return int(self.order[rank]), float(self.sorted_values[rank])
+        return self._entry(rank)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +358,10 @@ class ExactEngine(SearchSpace):
         if 1 << form.num_vars > EMULATION_SPACE_CAP:
             raise SpaceScaleError(f"2^{form.num_vars} bitmasks exceed the cap {EMULATION_SPACE_CAP}")
         super().__init__(form)
-        self.form = form
         self.scale = float(self._den if scale is None else scale)
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"register scale {scale!r} must be positive and finite")
-        self.lo, self.hi = float(self.sorted_values[0]), float(self.sorted_values[-1])
+        self.lo, self.hi = self._entry(0)[1], self._entry(self.size - 1)[1]
         span = self.scale * (self.hi - self.lo)
         self.width = width_for_range(-span, span)
         self._last_split = (math.nan, None)
@@ -427,8 +503,7 @@ class ExactEngine(SearchSpace):
         # At weights 0 and 1 the masses are integer counts, so this is exact.
         offset = int((target - masses[level]) / parts[branch, level])
         starts, counts, _ = self.levels
-        rank = starts[level] + min(offset, counts[level] - 1)
-        return int(self.order[rank]), float(self.sorted_values[rank])
+        return self._entry(int(starts[level]) + min(offset, int(counts[level]) - 1))
 
     def sample_many(
         self, threshold: float, rotations: int, shots: int, rng: np.random.Generator

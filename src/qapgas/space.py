@@ -5,10 +5,10 @@ bitmask of the hypercube kinds (qubo-h, hubo-hw), the N^N row-wise
 assignments of the Dicke-initialized kind (qubo-d).  objective_values lists
 every state's value as an exact int64 numerator over objective_denominator,
 for all three kinds from the same per-row and row-pair tables;
-dicke_rank_to_bits maps Dicke ranks to bitmasks, and value_bounds bounds the
-values.  The cap on what is enumerated, and the part helpers that run an
-O(size) pass as two halves on two cores, are shared with SearchSpace's
-index build in gas.
+dicke_rank_to_bits maps Dicke ranks to bitmasks (dicke_rank_decoder one
+rank at a time), and value_bounds bounds the values.  The cap on what is
+enumerated, and the part helpers that run an O(size) pass as two halves on
+two cores, are shared with SearchSpace's index build in gas.
 """
 from __future__ import annotations
 
@@ -259,6 +259,22 @@ def dicke_rank_to_bits(form: Formulation, ranks) -> np.ndarray:
     bits = high_rows[high]
     bits |= low_rows[np.remainder(flat, n**split, out=high)]
     return bits.reshape(ranks.shape)
+
+
+@lru_cache(maxsize=None)
+def dicke_rank_decoder(n: int) -> Callable[[int], int]:
+    """dicke_rank_to_bits for one int rank at size n: a function from rank to int bitmask.
+
+    It reads the same two half tables, as Python lists, so mapping the rank of
+    a single draw is two list lookups and no array.
+    """
+    low_rows, high_rows = (table.tolist() for table in _dicke_half_tables(n))
+    base = n ** (n // 2)
+
+    def bits(rank: int) -> int:
+        return high_rows[rank // base] | low_rows[rank % base]
+
+    return bits
 
 
 @lru_cache(maxsize=None)

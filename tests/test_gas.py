@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,8 +220,8 @@ class TestSearchSpace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = space.order.nbytes + space.sorted_values.nbytes
-        assert peak <= held + 4 * INDEX_BLOCK * 8
+        # The space holds one 8-byte key per state; order and sorted_values are built on access.
+        assert peak <= form.space_size * 8 + 4 * INDEX_BLOCK * 8
 
     def test_dicke_space_at_n8_finds_the_optimum(self):
         """64 variables: ranks need no 64-bit mask, and masks with bit 63 set decode."""
@@ -305,6 +307,30 @@ class TestSplitBuild:
         assert np.array_equal(one.order, two.order)
         assert np.array_equal(one.sorted_values, two.sorted_values)
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_levels_starting_on_block_boundaries(self, monkeypatch, cores):
+        """Values x16 + 2 x17 over 18 variables: four levels, each starting on a block (and
+        part) boundary of the scan."""
+        usable_cores(monkeypatch, cores)
+        poly = MultilinearPolynomial(18, {(16,): 1, (17,): 2})
+        inst = QapInstance(3, np.zeros((3, 3)), np.zeros((3, 3)))
+        space = SearchSpace(Formulation(FormulationKind.QUBO_HADAMARD, poly, 18, 3, (1.0, 1.0), inst))
+        starts, counts, numerators = space.levels
+        assert starts.tolist() == [0, INDEX_BLOCK, 2 * INDEX_BLOCK, 3 * INDEX_BLOCK]
+        assert counts.tolist() == [INDEX_BLOCK] * 4
+        assert numerators.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("kind, n, parts", SPACES)
+    def test_levels_equal_the_runs_of_sorted_values(self, monkeypatch, kind, n, parts):
+        usable_cores(monkeypatch, 2)
+        form = encode(random_instance(n, seed=2), kind)
+        space = SearchSpace(form)
+        values = space.sorted_values
+        starts = np.r_[0, np.flatnonzero(values[1:] != values[:-1]) + 1]
+        assert np.array_equal(space.levels.starts, starts)
+        assert np.array_equal(space.levels.counts, np.diff(starts, append=space.size))
+        assert np.array_equal(space.levels.numerators / objective_denominator(form), values[starts])
+
     def test_part_count_rule(self, monkeypatch):
         usable_cores(monkeypatch, 2)
         assert index_parts(INDEX_BLOCK) == 1
@@ -339,14 +365,17 @@ class TestSplitBuild:
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         usable_cores(monkeypatch, 2)
         form = encode(random_instance(7, seed=2), "qubo-d")
-        original = gas_module.dicke_rank_to_bits
+        original = gas_module.run_parts
 
-        def failing_in_workers(form, ranks):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("worker half failed")
-            return original(form, ranks)
+        def failing_in_workers(task, parts):
+            def failing_task(part):
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError("worker half failed")
+                return task(part)
 
-        monkeypatch.setattr(gas_module, "dicke_rank_to_bits", failing_in_workers)
+            return original(failing_task, parts)
+
+        monkeypatch.setattr(gas_module, "run_parts", failing_in_workers)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="worker half failed"):
             SearchSpace(form)
@@ -436,6 +465,101 @@ class TestUniformDraws:
         np.testing.assert_allclose(mix, engine.variable_distribution(y, 0), rtol=0, atol=1.5 / shots)
 
 
+def fraction_form():
+    """A qubo-h formulation on two rows of three variables with denominator 21, not a power of two."""
+    poly = MultilinearPolynomial(
+        6,
+        {
+            (): Fraction(2, 7),
+            (0,): Fraction(1, 3),
+            (1, 4): Fraction(-5, 7),
+            (2,): Fraction(4, 3),
+            (3, 5): Fraction(-1, 21),
+            (0, 1): Fraction(10, 3),
+        },
+    )
+    inst = QapInstance(2, np.zeros((2, 2)), np.zeros((2, 2)))
+    return Formulation(FormulationKind.QUBO_HADAMARD, poly, 6, 2, (1.0, 1.0), inst)
+
+
+def assert_draws_read_the_arrays(space, ranks):
+    """minimum, uniform_sample and draw return (int(order[r]), float(sorted_values[r]))
+    at every rank r they pick, as a Python int and float."""
+    order, values = space.order, space.sorted_values
+
+    def assert_entry(entry, rank):
+        assert type(entry[0]) is int and type(entry[1]) is float
+        assert entry == (int(order[rank]), float(values[rank]))
+
+    assert_entry(space.minimum(), 0)
+    for seed in range(20):
+        rank = int(np.random.default_rng(seed).integers(space.size))
+        assert_entry(space.uniform_sample(np.random.default_rng(seed)), rank)
+    # At the minimum nothing is marked, so the rank uniform alone picks the rank.
+    for rank in ranks:
+        assert_entry(space.draw(values[0], 1, 0.5, (rank + 0.5) / space.size), rank)
+    # With no Grover step the marked probability is t / size, in (0, 1) here.
+    y = float(values[space.size // 2])
+    t = int(np.searchsorted(values, y, side="left"))
+    assert 0 < t < space.size
+    for u in (0.0, 0.25, 0.5, TOP_UNIFORM):
+        assert_entry(space.draw(y, 0, 0.0, u), int(u * t))
+        assert_entry(space.draw(y, 0, TOP_UNIFORM, u), t + int(u * (space.size - t)))
+
+
+def assert_counts_are_searchsorted(space):
+    """count_below is searchsorted(sorted_values, x, "left") at every level value, both
+    float neighbours of it, +-inf and NaN (which numpy sorts last)."""
+    values = space.sorted_values
+    levels = values[space.levels.starts]
+    xs = np.concatenate(
+        [
+            levels,
+            np.nextafter(levels, -np.inf),
+            np.nextafter(levels, np.inf),
+            [-np.inf, np.inf, np.nan, -1e300, 1e300],
+        ]
+    )
+    for x in xs.tolist():
+        assert space.count_below(x) == int(np.searchsorted(values, x, side="left")), x
+
+
+class TestKeyDecode:
+    """Draws and counts decoded from the sorted keys equal reads of the unpacked arrays."""
+
+    @pytest.mark.parametrize("kind", ["qubo-h", "qubo-d", "hubo-hw"])
+    def test_n3_draws_and_counts(self, kind):
+        space = SearchSpace(encode(random_instance(3, seed=31), kind))
+        assert_draws_read_the_arrays(space, range(space.size))
+        assert_counts_are_searchsorted(space)
+
+    def test_qubo_d_n6_draws_and_counts(self):
+        """36 variables: uint64 masks."""
+        space = SearchSpace(encode_qubo_dicke(random_instance(6, seed=32)))
+        ranks = np.random.default_rng(0).integers(space.size, size=300).tolist()
+        assert_draws_read_the_arrays(space, [0, *ranks, space.size - 1])
+        assert_counts_are_searchsorted(space)
+
+    def test_non_dyadic_denominator_counts(self):
+        space = SearchSpace(fraction_form())
+        assert objective_denominator(space.form) == 21
+        assert_draws_read_the_arrays(space, range(space.size))
+        assert_counts_are_searchsorted(space)
+
+    def test_qubo_d_n8_draws_masks_with_bit_63(self):
+        space = SearchSpace(encode_qubo_dicke(sample_instance(8)))
+        top = np.flatnonzero(space.order >= np.uint64(1 << 63))
+        rng = np.random.default_rng(1)
+        ranks = [0, *rng.choice(top, size=100).tolist(), *rng.integers(space.size, size=100).tolist()]
+        assert_draws_read_the_arrays(space, ranks)
+
+    def test_holds_only_the_key_buffer(self):
+        space = SearchSpace(encode(random_instance(4, seed=33), "hubo-hw"))
+        arrays = [v for v in vars(space).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0].dtype == np.uint64 and arrays[0].size == space.size
+        assert space.order is not space.order  # built on each access, not kept
+
+
 class TestRunGas:
     def test_thresholds_never_increase(self):
         inst = random_instance(3, seed=10)
@@ -504,6 +628,61 @@ class TestRunGas:
             run_gas(form, GasConfig(seed=5), engine=ExactEngine(form))
         with pytest.raises(ValueError, match="space= needs backend='emulated'"):
             run_gas(form, GasConfig(backend="exact", seed=5), space=SearchSpace(form))
+
+
+    # SHA-256 of repr((initial_bits, initial_value, iterations)) of 400-iteration runs on
+    # random_instance(4, 1) at seeds 0..4, recorded when the index still kept its unpacked
+    # arrays.  The exact engine at its default scale draws what the emulated one draws,
+    # so its hubo-hw runs have the same digests.
+    TRAJECTORY_DIGESTS = {
+        "qubo-d": [
+            "317b27e69648cf182688c5b0be5243d7a48182cc29d3c51ddb584e2cc73a59cb",
+            "5bdf90e0bc4f59c84929f2c237b49bbde59f1f0803ea51032c0bfc3947a5a3b2",
+            "47838de69140c630c64d8bc212aca7b28eaff84b8f6306a515060baa9dc733a9",
+            "36c41b28c8d54632d9baa4fec5d94be5cb3120565e5149757e9c0d117011b304",
+            "b31e7d526087eefae62a30662a96d1bee93d10d4d854ae457f8b00583025fabc",
+        ],
+        "qubo-h": [
+            "6f2dddfeb47b4fb7ddea3ac1efc036ac83338dae05e58c81beb176c6168a2186",
+            "118931e8d8b7610169682bd2d5d7510673be7e7a0de24fd554b015d67ae89a3d",
+            "d13451e457c107e9c05f50450ba0a763b53ea34c34ad976a839949da93e73e02",
+            "76631528aebbeb2890a8591c8c2406bfbe27b8170013688a370a53efa29a88e1",
+            "11c95f837597d60343b8197fcbaeb449402366f8562986c7a7626a3692a371da",
+        ],
+        "hubo-hw": [
+            "0f6e0f60d9752acbb72900dc55498fa4c935877f54ea4552617144c75c0f7ec5",
+            "8095500ce9ec13aec9a4dd8dfb7ed15c4c1a99a1f6eab4c60d6f84c5065d15e2",
+            "601c311278a43620b733d15327a033f60713fc85e6728ea92e521d36d5054c77",
+            "351d25913e13dab358ac50937d739de56d78392e3fb96bc13a9165de1045dfb7",
+            "bc8e2036ee3e098111c98e8da57b6b30078d266bed545e7cc39f9e866bc9d9ee",
+        ],
+    }
+
+    @staticmethod
+    def trajectory_digest(trace):
+        record = (trace.initial_bits, trace.initial_value, trace.iterations)
+        return hashlib.sha256(repr(record).encode()).hexdigest()
+
+    @pytest.mark.parametrize("kind", ["qubo-d", "qubo-h", "hubo-hw"])
+    def test_seeded_trajectories_are_pinned(self, kind):
+        form = encode(random_instance(4, 1), kind)
+        space = SearchSpace(form)
+        digests = [
+            self.trajectory_digest(run_gas(form, GasConfig(seed=seed, max_iterations=400), space=space))
+            for seed in range(5)
+        ]
+        assert digests == self.TRAJECTORY_DIGESTS[kind]
+
+    def test_seeded_exact_trajectories_are_pinned(self):
+        form = encode(random_instance(4, 1), "hubo-hw")
+        engine = ExactEngine(form)
+        digests = [
+            self.trajectory_digest(
+                run_gas(form, GasConfig(backend="exact", seed=seed, max_iterations=400), engine=engine)
+            )
+            for seed in range(5)
+        ]
+        assert digests == self.TRAJECTORY_DIGESTS["hubo-hw"]
 
 
 class TestExactEngine:

@@ -14,7 +14,13 @@ from qapgas.gas import ExactEngine, SearchSpace
 from qapgas.polynomials import MultilinearPolynomial
 from qapgas.qap import QapInstance, dense_instance, generic_instance, random_instance
 from qapgas.samples import sample_instance
-from qapgas.space import dicke_rank_to_bits, objective_denominator, objective_values, value_bounds
+from qapgas.space import (
+    dicke_rank_decoder,
+    dicke_rank_to_bits,
+    objective_denominator,
+    objective_values,
+    value_bounds,
+)
 
 
 class TestObjectiveValues:
@@ -76,6 +82,14 @@ class TestDickeEnumeration:
         assert len(set(masks.tolist())) == n**n
         for rank in (0, 1, n, n**n - 1):
             assert int(dicke_rank_to_bits(form, rank)) == reference(rank)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_scalar_rank_decoder_matches_rank_to_bits(self, n):
+        form = encode_qubo_dicke(random_instance(n, seed=1))
+        masks = dicke_rank_to_bits(form, np.arange(n**n)).tolist()
+        decode = dicke_rank_decoder(n)
+        assert [decode(rank) for rank in range(n**n)] == masks
+        assert all(type(decode(rank)) is int for rank in (0, n**n - 1))
 
     def test_off_grid_coefficients_raise(self):
         form = encode_qubo_dicke(off_grid_instance())
