@@ -116,15 +116,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     prep = build_state_prep(form, m, threshold=args.y)
     sv = StateVector(prep.num_qubits).apply_all(prep.gates)
+    # Column x holds the value register's distribution for variable state x.
     probs = sv.probabilities().reshape(1 << m, 1 << form.num_vars)
+    totals = probs.sum(axis=0)
+    keep = np.flatnonzero(totals >= 1e-12)
     lines = ["x_bits,value_register,probability"]
-    for x in range(1 << form.num_vars):
-        column = probs[:, x]
-        if column.sum() < 1e-12:
-            continue
-        value = signed_value(int(np.argmax(column)), m)
+    for x, peak, total in zip(keep.tolist(), probs.argmax(axis=0)[keep].tolist(), totals[keep].tolist()):
         bits = format(x, f"0{form.num_vars}b")[::-1]
-        lines.append(f"{bits},{value},{column.sum():.6g}")
+        lines.append(f"{bits},{signed_value(peak, m)},{total:.6g}")
     _write_or_print("\n".join(lines) + "\n", args.csv)
     return 0
 

@@ -6,26 +6,28 @@ EMULATION_SPACE_CAP amplitudes, 26 qubits (a 1 GiB amplitude array); anything
 larger belongs to the emulated search backend, not to exact simulation.
 
 Gates are applied in runs of one gate class, each in as few passes over the
-register as it can be (see ``StateVector.apply_all``): a run of real gates
-(h, x, ry, cry, cnot) as one composed real matrix per window of at most four
-adjacent qubits, a run of diagonal phase gates as one unit-modulus factor
-table built in place, and a run of swaps as one axis permutation.  No kernel
-holds more than one state of temporary memory.  One simulated 20-qubit GAS
-iteration (hubo-hw, N=3, 1,992 gates) takes about 0.12 s on a 2-core x86
-host, and a 22-qubit qubo-d one, whose Dicke rows are one product each,
-about 0.6 s.
+register as it can be (see ``StateVector.apply_all``): a block that is
+exactly the builder's QFT or inverse QFT on two or more adjacent qubits as
+one in-place FFT along the register's axis, a run of real gates (h, x, ry,
+cry, cnot) as one composed real matrix per window of at most four adjacent
+qubits, a run of diagonal phase gates as one unit-modulus factor table built
+in place, and a run of swaps as one axis permutation.  No kernel holds more
+than one state of temporary memory.  On a 2-core x86 host, prep plus one
+Grover step takes 0.11-0.15 s at 20 qubits (hubo-hw, N=3, scale 100, 1,992
+gates), 1.4-1.7 s at 23 qubits (hubo-hw, N=4) and 3.3-3.4 s at 24 qubits
+(qubo-h, N=3).
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import reduce
+from functools import cache, reduce
 from itertools import groupby
 from operator import and_, or_
 
 import numpy as np
 
-from .circuits import Circuit, Gate, gate_outside
+from .circuits import Circuit, Gate, gate_outside, iqft_gates, qft_gates
 from .space import EMULATION_SPACE_CAP, SpaceScaleError
 
 MAX_QUBITS = EMULATION_SPACE_CAP.bit_length() - 1
@@ -50,6 +52,65 @@ def _run_class(gate: Gate) -> str:
     """Gates of one class next to each other form one run for `apply_all`."""
     kind = gate.kind
     return "diagonal" if kind in _DIAGONAL else "real" if kind in _REAL else kind
+
+
+@cache
+def _fourier_block(lo: int, m: int, inverse: bool) -> tuple[Gate, ...]:
+    """The builder's QFT (or inverse QFT) gates on qubits lo..lo+m-1.
+
+    Spans are looked up only after every qubit is checked against the
+    register, so the cache holds at most 2 * MAX_QUBITS^2 blocks.
+    """
+    qubits = range(lo, lo + m)
+    return tuple(iqft_gates(qubits) if inverse else qft_gates(qubits))
+
+
+def _fourier_spans(gates: tuple[Gate, ...]) -> list[tuple[int, int]]:
+    """(start, stop) of each span of `gates` that is exactly a QFT or inverse
+    QFT on two or more adjacent qubits, left to right and disjoint.
+
+    Each Hadamard is tried as the h(top) that opens a QFT on lo..top, followed
+    by cphase(top - 1, top), ..., cphase(lo, top), and as the h(lo) that
+    follows the m // 2 swaps of an inverse QFT, the last of them swap(lo,
+    top).  A candidate counts only when its gates equal the builder's, kind,
+    qubits and angle; the builder's angles are finite and nonzero, so float
+    equality is bit equality.
+    """
+    spans: list[tuple[int, int]] = []
+    end = 0
+    for i, (kind, qubits, _) in enumerate(gates):
+        if kind != "h" or i < end:
+            continue
+        q = qubits[0]
+        candidates = []
+        swap = gates[i - 1] if i else None
+        if swap and swap[0] == "swap" and swap[1][0] == q < swap[1][1]:
+            m = swap[1][1] - q + 1
+            candidates.append((i - m // 2, _fourier_block(q, m, True)))
+        j = i + 1
+        while j < len(gates) and gates[j][0] == "cphase" and gates[j][1] == (q - (j - i), q):
+            j += 1
+        if j > i + 1:
+            candidates.append((i, _fourier_block(q - (j - i - 1), j - i, False)))
+        for start, block in candidates:
+            if start >= end and gates[start : start + len(block)] == block:
+                spans.append((start, start + len(block)))
+                end = start + len(block)
+                break
+    return spans
+
+
+def _runs(gates: tuple[Gate, ...]):
+    """(class, run) pairs for `StateVector.apply_all`: each exact QFT or
+    inverse-QFT block as one "fourier" run, and maximal runs of one gate
+    class between them."""
+    done = 0
+    for start, stop in [*_fourier_spans(gates), (len(gates), len(gates))]:
+        for cls, run in groupby(gates[done:start], key=_run_class):
+            yield cls, tuple(run)
+        if start < stop:
+            yield "fourier", gates[start:stop]
+        done = stop
 
 
 def _apply_real_gate(array: np.ndarray, num_qubits: int, gate: Gate, base: int = 0) -> None:
@@ -184,6 +245,13 @@ class StateVector:
 
         Each run class has one kernel:
 
+        * fourier: a span that is exactly ``qft_gates`` or ``iqft_gates`` on
+          qubits lo..lo+m-1, m >= 2, gate for gate with the same kinds,
+          qubits and angles (`_fourier_spans`), is one length-2^m DFT along
+          the middle axis of the (rows, 2^m, 2^lo) view, in place: numpy's
+          ifft for the QFT and fft for the inverse, both with the unitary
+          norm.  Every other gate, however close to such a block, goes to
+          the kernels below.
         * real (h, x, ry, cry, cnot): disjoint windows of at most four
           adjacent qubits.  A gate joins the windows it overlaps or,
           overlapping none, the nearest one, while the span stays within
@@ -210,10 +278,10 @@ class StateVector:
 
         Temporary memory stays within one state: a window's product or a
         swap copy writes one new state, a diagonal table over every qubit
-        is one state, and a wide gate holds two halves of its controlled
-        block, at most half a state.  Kernels may replace ``amplitudes``
-        with a new array, so a reference taken before the call can hold
-        the old state.
+        is one state, a wide gate holds two halves of its controlled
+        block, at most half a state, and an FFT writes into the state.
+        Kernels may replace ``amplitudes`` with a new array, so a reference
+        taken before the call can hold the old state.
 
         With ``validate`` every gate is applied as a run of one and the norm
         is checked after it.
@@ -226,7 +294,7 @@ class StateVector:
         if validate:
             runs = ((_run_class(gate), (gate,)) for gate in gates)
         else:
-            runs = ((cls, tuple(run)) for cls, run in groupby(gates, key=_run_class))
+            runs = _runs(gates)
         for cls, run in runs:
             self._KERNELS[cls](self, run)
             if validate and abs(self.norm() - 1.0) > 1e-9:
@@ -325,7 +393,18 @@ class StateVector:
         order = [i if key == -1 else position[source[key]] for i, (key, _) in enumerate(axes)]
         self.amplitudes = view.transpose(order).copy().reshape(-1)
 
-    _KERNELS = {"real": _apply_real, "diagonal": _apply_phases, "swap": _apply_swaps}
+    def _apply_fourier(self, run: tuple[Gate, ...]) -> None:
+        # The QFT maps |x> to 2^(-m/2) sum_y e^{+2 pi i xy / 2^m} |y> on the
+        # register's axis: numpy's ifft with the unitary norm, and the
+        # inverse QFT its fft.  Both write in place through ``out``.
+        qubits = {q for gate in run for q in gate[1]}
+        view = self.amplitudes.reshape(-1, 1 << len(qubits), 1 << min(qubits))
+        transform = np.fft.fft if run[0][0] == "swap" else np.fft.ifft
+        transform(view, axis=1, norm="ortho", out=view)
+
+    _KERNELS = {
+        "real": _apply_real, "diagonal": _apply_phases, "swap": _apply_swaps, "fourier": _apply_fourier,
+    }
     # -- measurement -----------------------------------------------------------
 
     def measure_all(self, rng: np.random.Generator) -> int:

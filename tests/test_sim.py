@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qapgas.circuits import Gate, build_dicke, build_state_prep, dicke_gates
+from qapgas.circuits import Gate, build_dicke, build_state_prep, dicke_gates, iqft_gates, qft_gates
 from qapgas.encodings import encode_hubo_hw
 from qapgas.qap import random_instance
-from qapgas.sim import MAX_QUBITS, StateVector, _subset_products, run_circuit
+from qapgas.sim import MAX_QUBITS, StateVector, _fourier_spans, _subset_products, run_circuit
 from qapgas.space import SpaceScaleError
 
 
@@ -403,6 +403,61 @@ class TestRunKernelsWide:
                     _per_gate_reference(prep.num_qubits))
 
 
+class TestFourierKernel:
+    """Exact QFT and inverse-QFT blocks on two or more qubits run as one FFT
+    over their register; anything else, however close, takes the gate
+    kernels.  Both paths match the per-gate reference."""
+
+    def _check(self, num_qubits: int, gates: list[Gate], spans, rng: np.random.Generator) -> None:
+        assert _fourier_spans(tuple(gates)) == spans
+        _check_runs(num_qubits, gates, rng, _per_gate_reference(num_qubits))
+
+    def test_blocks_at_the_bottom_middle_and_top(self):
+        rng = np.random.default_rng(41)
+        for num_qubits in (8, 10, 12):
+            for m in range(1, 9):
+                for lo in sorted({0, (num_qubits - m) // 2, num_qubits - m}):
+                    for block in (qft_gates(range(lo, lo + m)), iqft_gates(range(lo, lo + m))):
+                        # m = 1 is one plain Hadamard.
+                        spans = [(0, len(block))] if m > 1 else []
+                        self._check(num_qubits, block, spans, rng)
+        assert qft_gates([3]) == iqft_gates([3]) == [Gate("h", (3,))]
+
+    def test_grover_shaped_sequence(self):
+        """z on the sign qubit, QFT on the value register, a phase ladder,
+        Hadamards on every qubit, then the inverse QFT."""
+        rng = np.random.default_rng(42)
+        n, lo = 11, 4
+        value = range(lo, n)
+        qft, iqft = qft_gates(value), iqft_gates(value)
+        ladder = [
+            Gate("cphase", (v, t), 0.37 * (v + 1) + 0.11 * t) for v in range(lo) for t in value
+        ] + [Gate("phase", (t,), -0.5 * t) for t in value]
+        hadamards = [Gate("h", (q,)) for q in range(n)]
+        gates = [Gate("z", (n - 1,))] + qft + ladder + hadamards + iqft
+        end = len(gates)
+        self._check(n, gates, [(1, 1 + len(qft)), (end - len(iqft), end)], rng)
+        # Back to back on one register: the two blocks cancel.
+        self._check(n, qft + iqft, [(0, len(qft)), (len(qft), 2 * len(qft))], rng)
+
+    def test_near_misses_take_the_gate_path(self):
+        rng = np.random.default_rng(43)
+        n = 10
+        for block in (qft_gates(range(2, 8)), iqft_gates(range(2, 8))):
+            swaps = [i for i, gate in enumerate(block) if gate.kind == "swap"]
+            phases = [i for i, gate in enumerate(block) if gate.kind == "cphase"]
+            for i in phases[:: len(phases) - 1]:
+                moved = list(block)
+                kind, qubits, angle = block[i]
+                moved[i] = Gate(kind, qubits, math.nextafter(angle, math.inf))
+                self._check(n, moved, [], rng)
+            self._check(n, block[: swaps[-1]] + block[swaps[-1] + 1 :], [], rng)
+            self._check(n, [Gate("x", (0,))] + block[: len(block) - 3], [], rng)
+        for qubits in (range(7, 1, -1), [0, 2, 3, 5], [1, 2, 4, 5, 6]):
+            for block in (qft_gates(qubits), iqft_gates(qubits)):
+                self._check(n, block, [], rng)
+
+
 def _real_run(rng: np.random.Generator, num_qubits: int, length: int) -> list[Gate]:
     """One run of real gates: h, x and ry, and cry and cnot on two or more qubits."""
     kinds = ("h", "x", "ry") + (("cry", "cnot") if num_qubits > 1 else ())
@@ -551,6 +606,28 @@ class TestTemporaryMemory:
             tracemalloc.stop()
         assert abs(sv.norm() - 1.0) < 1e-12
         assert peak <= 2 * sv.amplitudes.nbytes + (1 << 19)
+
+
+    def test_fourier_blocks_over_twenty_qubits_run_in_place(self):
+        """A QFT and an inverse QFT over all 20 qubits, and a pair over the top
+        14 as in a 20-qubit GAS iteration: ``amplitudes`` is never rebound,
+        the traced peak stays far below one state, and each pair restores
+        the state."""
+        n = 20
+        amps = _random_state(np.random.default_rng(20), n)
+        sv = _CountingState(n, amps)
+        for qubits in (range(n), range(6, n)):
+            gates = qft_gates(qubits) + iqft_gates(qubits)
+            sv.writes = 0
+            tracemalloc.start()
+            try:
+                sv.apply_all(gates)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sv.writes == 0
+            assert peak <= sv.amplitudes.nbytes // 16
+            np.testing.assert_allclose(sv.amplitudes, amps, rtol=0, atol=1e-12)
 
 
 def _per_axis_products(index: np.ndarray, seeds: np.ndarray, width: int) -> np.ndarray:
