@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .circuits import ladder_cnots, width_for_range
 from .encodings import build_code_table, num_code_bits, search_space_sizes
@@ -255,41 +255,11 @@ def metrics_csv(rows: list[MetricsRow]) -> str:
     """CSV table with the per-size QUBO minus HUBO difference columns."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(
-        [
-            "n",
-            "kind",
-            "term_count",
-            "distinct_terms",
-            "qubits_vars",
-            "qubits_value",
-            "qubits_total",
-            "cnot_r_model",
-            "cnot_rz_model",
-            "search_space",
-            "term_diff_vs_hubo",
-            "cnot_rz_diff_vs_hubo",
-        ]
-    )
+    writer.writerow([f.name for f in fields(MetricsRow)] + ["term_diff_vs_hubo", "cnot_rz_diff_vs_hubo"])
     hubo_by_n = {r.n: r for r in rows if r.kind == "hubo-hw"}
     for row in rows:
         hubo = hubo_by_n.get(row.n)
         term_diff = row.term_count - hubo.term_count if hubo else ""
         cnot_diff = row.cnot_rz_model - hubo.cnot_rz_model if hubo else ""
-        writer.writerow(
-            [
-                row.n,
-                row.kind,
-                row.term_count,
-                row.distinct_terms,
-                row.qubits_vars,
-                row.qubits_value,
-                row.qubits_total,
-                row.cnot_r_model,
-                row.cnot_rz_model,
-                row.search_space,
-                term_diff,
-                cnot_diff,
-            ]
-        )
+        writer.writerow([*astuple(row), term_diff, cnot_diff])
     return out.getvalue()

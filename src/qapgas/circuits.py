@@ -25,9 +25,9 @@ gate (its index in KIND_NAMES), a qubit count per gate, all qubits in one
 flat array, and an angle per gate (NaN where the kind takes none).  The
 builders, the adjoint, the Rz substitution and count_gates work on whole
 columns with numpy; a phase ladder of t terms over m value qubits is a few
-array operations, not t*m Python records.  ``Circuit.gates`` is a read-only
-sequence view that produces Gate records (int qubits, float angles) on
-demand, which is what the simulator and the serializer read.
+array operations, not t*m Python records.  ``Circuit.gates`` builds the
+tuple of Gate records (int qubits, float angles) from the columns on each
+read; the simulator and the serializer read it.
 
 Validation happens where an invariant is introduced, once.  ``Gate(...)``
 checks kind, arity, distinct integer qubits and the angle, and stores the
@@ -214,56 +214,6 @@ def gate_outside(gates: Sequence[Gate], num_qubits: int) -> Gate | None:
     return None if index is None else gates[index]
 
 
-class GateSequence(Sequence):
-    """Read-only sequence view of a circuit's gate columns.
-
-    ``len`` is O(1).  Integer and slice indexing and iteration produce Gate
-    records on demand, in blocks, without keeping them; a slice is a tuple.
-    Compare circuits, not their views.
-    """
-
-    __slots__ = ("_columns", "_offsets")
-    _BLOCK = 4096
-
-    def __init__(self, columns: GateColumns):
-        self._columns = columns
-        self._offsets: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self._columns.kind)
-
-    def _span(self, start: int, stop: int) -> list[Gate]:
-        if self._offsets is None:
-            self._offsets = np.concatenate(([0], np.cumsum(self._columns.size)))
-        kind, size, qubits, angle = self._columns
-        lo, hi = self._offsets[start], self._offsets[stop]
-        return _records(GateColumns(
-            kind[start:stop], size[start:stop], qubits[lo:hi], angle[start:stop]
-        ))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            positions = range(*index.indices(len(self)))
-            if not positions:
-                return ()
-            lo = min(positions[0], positions[-1])
-            gates = self._span(lo, max(positions[0], positions[-1]) + 1)
-            return tuple(gates[i - lo] for i in positions)
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("gate index out of range")
-        return self._span(i, i + 1)[0]
-
-    def __iter__(self):
-        for start in range(0, len(self), self._BLOCK):
-            yield from self._span(start, min(start + self._BLOCK, len(self)))
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} gates>"
-
-
 def _columns_equal(a: GateColumns, b: GateColumns) -> bool:
     return all(
         np.array_equal(x, y, equal_nan=x.dtype.kind == "f") for x, y in zip(a, b)
@@ -274,14 +224,14 @@ class Circuit:
     """Ordered gates over a variable register and an optional value register.
 
     ``Circuit(num_vars, num_value, gates)`` takes a list of Gate records and
-    stores them as GateColumns (``columns``); ``gates`` is a read-only
-    sequence view producing the records back.  Raises ValueError for a
-    negative register size or a qubit outside the registers and TypeError
-    for a gate that is not a Gate record.  Circuits are immutable and equal
-    when their registers and columns are (NaN angles compare equal).
+    stores them as GateColumns (``columns``); ``gates`` builds the tuple of
+    records back on each read.  Raises ValueError for a negative register
+    size or a qubit outside the registers and TypeError for a gate that is
+    not a Gate record.  Circuits are immutable and equal when their
+    registers and columns are (NaN angles compare equal).
     """
 
-    __slots__ = ("num_vars", "num_value", "columns", "gates")
+    __slots__ = ("num_vars", "num_value", "columns")
 
     def __init__(self, num_vars: int, num_value: int, gates: Iterable[Gate] = ()):
         gates = tuple(gates)
@@ -305,7 +255,6 @@ class Circuit:
         setter("num_vars", num_vars)
         setter("num_value", num_value)
         setter("columns", columns)
-        setter("gates", GateSequence(columns))
         bad = _first_outside(columns.size, columns.qubits, self.num_qubits)
         if bad is not None:
             raise ValueError(f"gate {self.gates[bad]} outside {self.num_qubits}-qubit register")
@@ -324,10 +273,17 @@ class Circuit:
     __hash__ = None
 
     def __reduce__(self):
-        return (Circuit, (self.num_vars, self.num_value, tuple(self.gates)))
+        return (Circuit, (self.num_vars, self.num_value, self.gates))
 
     def __repr__(self) -> str:
-        return f"Circuit(num_vars={self.num_vars}, num_value={self.num_value}, gates={self.gates!r})"
+        return (
+            f"Circuit(num_vars={self.num_vars}, num_value={self.num_value}, "
+            f"gates=<{self.columns.kind.size} gates>)"
+        )
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return tuple(_records(self.columns))
 
     @property
     def num_qubits(self) -> int:

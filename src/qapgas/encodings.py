@@ -66,9 +66,6 @@ class CodeTable:
     def weights(self) -> list[int]:
         return [sum(code) for code in self.codes]
 
-    def code_to_location(self) -> dict[tuple[int, ...], int]:
-        return {code: j for j, code in enumerate(self.codes)}
-
 
 def build_code_table(n: int) -> CodeTable:
     if n < 2:
@@ -143,47 +140,28 @@ class Formulation:
     def evaluate(self, x: int) -> float:
         return float(self.poly.evaluate(x))
 
+    @cached_property
+    def location_codes(self) -> tuple[int, ...]:
+        """Row bitmask of each location (0-based): code bit r at bit r on
+        hubo-hw, the one-hot bit 1 << j on the QUBO kinds."""
+        if self.kind is FormulationKind.HUBO_HW:
+            return tuple(sum(bit << r for r, bit in enumerate(code)) for code in self.code_table.codes)
+        return tuple(1 << j for j in range(self.size_n))
+
     def encode_permutation(self, perm: Permutation) -> int:
         """Bitmask whose decode() is the given permutation."""
         if len(perm) != self.size_n:
             raise ValueError("permutation size mismatch")
-        mask = 0
-        if self.kind is FormulationKind.HUBO_HW:
-            assert self.code_table is not None
-            bits = self.code_table.bits_b
-            for i, loc in enumerate(perm.mapping):
-                code = self.code_table.codes[loc - 1]
-                for r, bit in enumerate(code):
-                    if bit:
-                        mask |= 1 << (i * bits + r)
-        else:
-            n = self.size_n
-            for i, loc in enumerate(perm.mapping):
-                mask |= 1 << (i * n + (loc - 1))
-        return mask
+        width = self.row_width
+        return sum(self.location_codes[loc - 1] << (i * width) for i, loc in enumerate(perm.mapping))
 
     def decode(self, x: int) -> Permutation | None:
-        """Permutation encoded by bitmask x, or None if infeasible."""
-        n = self.size_n
-        if self.kind is FormulationKind.HUBO_HW:
-            assert self.code_table is not None
-            bits = self.code_table.bits_b
-            lookup = self.code_table.code_to_location()
-            mapping = []
-            for i in range(n):
-                code = tuple((x >> (i * bits + r)) & 1 for r in range(bits))
-                loc = lookup.get(code)
-                if loc is None:
-                    return None
-                mapping.append(loc + 1)
-        else:
-            mapping = []
-            for i in range(n):
-                row = [(x >> (i * n + j)) & 1 for j in range(n)]
-                if sum(row) != 1:
-                    return None
-                mapping.append(row.index(1) + 1)
-        if len(set(mapping)) != n:
+        """Permutation encoded by bitmask x, or None if a row holds no
+        location's code or two rows hold the same one."""
+        width = self.row_width
+        location = {code: j + 1 for j, code in enumerate(self.location_codes)}
+        mapping = [location.get(x >> (i * width) & ((1 << width) - 1)) for i in range(self.size_n)]
+        if None in mapping or len(set(mapping)) != self.size_n:
             return None
         return Permutation(tuple(mapping))
 

@@ -74,16 +74,12 @@ def _rotated_probability(angle: float, rotations: int) -> float:
     return math.sin((2 * rotations + 1) * angle) ** 2
 
 
-def amplified_probability(fraction: float, rotations: int) -> float:
-    """Marked probability sin^2((2L+1) asin(sqrt(fraction))) after L = `rotations` steps."""
-    return _rotated_probability(_grover_angle(fraction), rotations)
-
-
 def marked_probability(marked: int, size: int, rotations: int) -> float:
-    """Probability that `rotations` Grover steps end on a marked state."""
+    """Probability sin^2((2L+1) asin(sqrt(marked / size))) that L = `rotations`
+    Grover steps end on a marked state."""
     if not 0 <= marked <= size:
         raise ValueError("marked count out of range")
-    return amplified_probability(marked / size, rotations)
+    return _rotated_probability(_grover_angle(marked / size), rotations)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@ Gates are applied in runs of one gate class, each in as few passes over the
 register as it can be (see ``StateVector.apply_all``): a block that is
 exactly the builder's QFT or inverse QFT on two or more adjacent qubits as
 one in-place FFT along the register's axis, a run of real gates (h, x, ry,
-cry, cnot) as one composed real matrix per window of at most four adjacent
-qubits, a run of diagonal phase gates as one unit-modulus factor table built
-in place, and a run of swaps as one axis permutation.  No kernel holds more
-than one state of temporary memory.  On a 2-core x86 host, prep plus one
-Grover step takes 0.11-0.15 s at 20 qubits (hubo-hw, N=3, scale 100, 1,992
-gates), 1.4-1.7 s at 23 qubits (hubo-hw, N=4) and 3.3-3.4 s at 24 qubits
-(qubo-h, N=3).
+cry, cnot, swap) as one composed real matrix per window of at most four
+adjacent qubits, and a run of diagonal phase gates as one unit-modulus
+factor table built in place.  No kernel holds more than one state of
+temporary memory.  On a 2-core x86 host, prep plus one Grover step takes
+0.11-0.15 s at 20 qubits (hubo-hw, N=3, scale 100, 1,992 gates),
+1.4-1.7 s at 23 qubits (hubo-hw, N=4) and 3.3-3.4 s at 24 qubits (qubo-h,
+N=3).
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ MAX_QUBITS = EMULATION_SPACE_CAP.bit_length() - 1
 
 
 _DIAGONAL = frozenset({"z", "phase", "rz", "cphase", "crz"})
-_REAL = frozenset({"h", "x", "ry", "cry", "cnot"})
+_REAL = frozenset({"h", "x", "ry", "cry", "cnot", "swap"})
 
 # A run of real gates is composed into one matrix per window of at most this
 # many adjacent qubits; at 20 qubits a Hadamard layer took 13.5-15 ms in
@@ -119,9 +119,14 @@ def _apply_real_gate(array: np.ndarray, num_qubits: int, gate: Gate, base: int =
     Row i has qubit base + j at bit j; each column (the real and imaginary
     parts of a state, or a window identity's basis vectors) is transformed
     alike.  The 2x2 target matrix mixes the target's halves where the
-    controls are 1.
+    controls are 1; swap(a, b) is cnot(a, b), cnot(b, a), cnot(a, b).
     """
     kind, qubits, angle = gate
+    if kind == "swap":
+        a, b = qubits
+        for pair in ((a, b), (b, a), (a, b)):
+            _apply_real_gate(array, num_qubits, Gate("cnot", pair), base)
+        return
     if kind in _TARGETS:
         a, b, c, d = _TARGETS[kind]
     else:  # ry, cry
@@ -252,7 +257,7 @@ class StateVector:
           ifft for the QFT and fft for the inverse, both with the unitary
           norm.  Every other gate, however close to such a block, goes to
           the kernels below.
-        * real (h, x, ry, cry, cnot): disjoint windows of at most four
+        * real (h, x, ry, cry, cnot, swap): disjoint windows of at most four
           adjacent qubits.  A gate joins the windows it overlaps or,
           overlapping none, the nearest one, while the span stays within
           four qubits; else the windows it overlaps are applied first and
@@ -274,12 +279,14 @@ class StateVector:
           multiplied once, broadcast over the other qubits.
           The phase is 0 wherever a qubit that every term contains is 0, so
           only the slice where all such qubits are 1 is multiplied.
-        * swap: one permutation of the qubits' axes, copied once.
 
-        Temporary memory stays within one state: a window's product or a
-        swap copy writes one new state, a diagonal table over every qubit
-        is one state, a wide gate holds two halves of its controlled
-        block, at most half a state, and an FFT writes into the state.
+        The builders emit swaps only inside Fourier blocks, so the real
+        kernel meets a swap only in a hand-written gate list.
+
+        Temporary memory stays within one state: a window's product writes
+        one new state, a diagonal table over every qubit is one state, a
+        wide gate holds two halves of its controlled block, at most half a
+        state, and an FFT writes into the state.
         Kernels may replace ``amplitudes`` with a new array, so a reference
         taken before the call can hold the old state.
 
@@ -379,20 +386,6 @@ class StateVector:
         block = view[tuple(slice(size - 1, None) if key == "one" else slice(None) for key, size in axes)]
         block *= factor.reshape([size if key == "free" else 1 for key, size in axes])
 
-    def _apply_swaps(self, run: tuple[Gate, ...]) -> None:
-        # source[q] is the qubit whose bit the run moves to qubit q.
-        source = list(range(self.num_qubits))
-        for _, (a, b), _ in run:
-            source[a], source[b] = source[b], source[a]
-        if source == list(range(self.num_qubits)):
-            return
-        # Qubits the run leaves in place share axes; each moved one has its own.
-        axes = _axis_runs(self.num_qubits, lambda q: q if source[q] != q else -1)
-        position = {key: i for i, (key, _) in enumerate(axes)}
-        view = self.amplitudes.reshape([size for _, size in axes])
-        order = [i if key == -1 else position[source[key]] for i, (key, _) in enumerate(axes)]
-        self.amplitudes = view.transpose(order).copy().reshape(-1)
-
     def _apply_fourier(self, run: tuple[Gate, ...]) -> None:
         # The QFT maps |x> to 2^(-m/2) sum_y e^{+2 pi i xy / 2^m} |y> on the
         # register's axis: numpy's ifft with the unitary norm, and the
@@ -402,9 +395,8 @@ class StateVector:
         transform = np.fft.fft if run[0][0] == "swap" else np.fft.ifft
         transform(view, axis=1, norm="ortho", out=view)
 
-    _KERNELS = {
-        "real": _apply_real, "diagonal": _apply_phases, "swap": _apply_swaps, "fourier": _apply_fourier,
-    }
+    _KERNELS = {"real": _apply_real, "diagonal": _apply_phases, "fourier": _apply_fourier}
+
     # -- measurement -----------------------------------------------------------
 
     def measure_all(self, rng: np.random.Generator) -> int:

@@ -199,3 +199,43 @@ class TestMetricsTable:
         assert "term_diff_vs_hubo" in header
         assert "cnot_rz_diff_vs_hubo" in header
         assert len(text.splitlines()) == 1 + 3 * 3
+
+    def test_csv_text_is_pinned(self):
+        header = (
+            "n,kind,term_count,distinct_terms,qubits_vars,qubits_value,qubits_total,"
+            "cnot_r_model,cnot_rz_model,search_space,term_diff_vs_hubo,cnot_rz_diff_vs_hubo"
+        )
+        rows = [
+            "2,qubo-h,11,11,4,7,11,224,152,16,5,120",
+            "2,qubo-d,11,11,4,6,10,192,132,4,5,100",
+            "2,hubo-hw,6,4,2,5,7,40,32,4,0,0",
+            "3,qubo-h,46,46,9,10,19,1620,972,512,9,300",
+            "3,qubo-d,46,46,9,9,18,1458,882,27,9,210",
+            "3,hubo-hw,37,37,6,8,14,1728,672,64,0,0",
+            "4,qubo-h,137,137,16,12,28,6144,3504,65536,66,2128",
+            "4,qubo-d,137,137,16,11,27,5632,3232,256,66,1856",
+            "4,hubo-hw,71,67,8,9,17,3744,1376,256,0,0",
+            "5,qubo-h,326,326,25,14,39,17500,9700,33554432,50,2100",
+            "5,qubo-d,326,326,25,13,38,16250,9050,3125,50,1450",
+            "5,hubo-hw,276,276,15,11,26,54450,7600,32768,0,0",
+            "6,qubo-h,667,667,36,15,51,38880,21240,68719476736,90,4476",
+            "6,qubo-d,667,667,36,14,50,36288,19908,46656,90,3144",
+            "6,hubo-hw,577,577,18,12,30,105408,16764,262144,0,0",
+            "7,qubo-h,1226,1226,49,16,65,76832,41552,562949953421312,147,8456",
+            "7,qubo-d,1226,1226,49,15,64,72030,39102,823543,147,6006",
+            "7,hubo-hw,1079,1079,21,13,34,186914,33096,2097152,0,0",
+            "8,qubo-h,2081,2081,64,17,81,139264,74752,18446744073709551616,644,30880",
+            "8,qubo-d,2081,2081,64,16,80,131072,70592,16777216,644,26720",
+            "8,hubo-hw,1437,1429,24,13,37,248768,43872,16777216,0,0",
+            "9,qubo-h,3322,3322,81,18,99,236196,126036,2417851639229258349412352,324,16578",
+            "9,qubo-d,3322,3322,81,17,98,223074,119394,387420489,324,9936",
+            "9,hubo-hw,2998,2998,36,14,50,2072448,109458,68719476736,0,0",
+        ]
+        assert metrics_csv(metrics_rows(2, 9)) == "\r\n".join([header, *rows, ""])
+        # Without a hubo-hw row of the same size the difference columns are empty.
+        qubo_h = [
+            "2,qubo-h,11,11,4,7,11,224,152,16,,",
+            "3,qubo-h,46,46,9,10,19,1620,972,512,,",
+            "4,qubo-h,137,137,16,12,28,6144,3504,65536,,",
+        ]
+        assert metrics_csv(metrics_rows(2, 4, kinds=("qubo-h",))) == "\r\n".join([header, *qubo_h, ""])

@@ -4,8 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qapgas.circuits import Gate, build_dicke, build_state_prep, dicke_gates, iqft_gates, qft_gates
-from qapgas.encodings import encode_hubo_hw
+from qapgas.analysis import ALL_KINDS, register_widths
+from qapgas.circuits import (
+    Gate, build_dicke, build_grover_operator, build_state_prep, dicke_gates, iqft_gates, qft_gates,
+)
+from qapgas.encodings import encode, encode_hubo_hw
 from qapgas.qap import random_instance
 from qapgas.sim import MAX_QUBITS, StateVector, _fourier_spans, _subset_products, run_circuit
 from qapgas.space import SpaceScaleError
@@ -302,6 +305,15 @@ class TestRunKernels:
         self._check(4, [Gate("swap", (1, 3)), Gate("swap", (3, 1))])  # cancels
         self._check(5, [Gate("swap", (0, 1)), Gate("swap", (2, 3)), Gate("swap", (0, 1))])
         self._check(2, [Gate("swap", (0, 1))] * 3)
+        # Swaps composed into one window of qubits 1..4 with h and cry gates.
+        gates = [Gate("h", (2,)), Gate("swap", (1, 3)), Gate("cry", (3, 4, 2), 0.7),
+                 Gate("swap", (4, 2)), Gate("h", (1,))]
+        amps = _random_state(np.random.default_rng(6), 6)
+        sv = _CountingState(6, amps)
+        sv.writes = 0
+        sv.apply_all(gates)
+        assert sv.writes == 1
+        _check_runs(6, gates, np.random.default_rng(7), _per_gate_reference(6))
 
     def test_diagonal_runs_with_shared_qubits(self):
         self._check(4, [
@@ -439,6 +451,21 @@ class TestFourierKernel:
         self._check(n, gates, [(1, 1 + len(qft)), (end - len(iqft), end)], rng)
         # Back to back on one register: the two blocks cancel.
         self._check(n, qft + iqft, [(0, len(qft)), (len(qft), 2 * len(qft))], rng)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_builder_swaps_lie_inside_fourier_blocks(self, kind, n):
+        """Every swap of a preparation or Grover circuit belongs to a Fourier
+        block, so none reaches the real-gate kernel."""
+        form = encode(random_instance(n, 30 + n), kind)
+        for width in (1, 2, register_widths(n, kind)[1]):
+            prep = build_state_prep(form, width)
+            for circuit in (prep, build_grover_operator(prep)):
+                gates = circuit.gates
+                spans = _fourier_spans(gates)
+                swaps = [i for i, gate in enumerate(gates) if gate.kind == "swap"]
+                assert all(any(start <= i < stop for start, stop in spans) for i in swaps)
+                assert bool(swaps) == (width > 1)
 
     def test_near_misses_take_the_gate_path(self):
         rng = np.random.default_rng(43)
