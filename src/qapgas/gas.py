@@ -10,10 +10,12 @@ improvement.
 Two interchangeable backends produce the per-iteration samples, and both
 stand on one index.  The search space is enumerated once as exact integer
 values at the objective's common denominator, every kind from the same
-per-row and row-pair tables (space.objective_values), and indexed by one
-sort of packed (value, state) keys on two threads where two cores are
-usable.  The sorted keys are the index (SearchSpace): each draw decodes its
-state's bitmask and value from one key.
+per-row and row-pair tables (space.objective_values), and indexed by
+sorting packed (value, state) keys in place: as one run, or as two halves
+sorted at the same time on two threads where two cores are usable.  The
+sorted keys are the index (SearchSpace): each draw finds the key of its
+rank in the runs' merged order and decodes its state's bitmask and value
+from it.
 
 * ``emulated`` -- classical amplification model: a sample is marked
   (objective strictly below the threshold) with the exact Grover probability
@@ -117,17 +119,19 @@ def _each_block(size: int, task: Callable[[slice], object]) -> None:
 
 
 def _key_decoder(
-    keys: np.ndarray, shift: int, lo: int, den: int, to_bits: Callable[[int], int] | None
+    view: memoryview | _MergedRuns, shift: int, lo: int, den: int, to_bits: Callable[[int], int] | None
 ) -> Callable[[int], tuple[int, float]]:
-    """entry(rank): the (bitmask, value) of the rank-th sorted key.
+    """entry(rank): the (bitmask, value) of view[rank], the rank-th sorted key.
 
+    view is the memoryview of one sorted run, or the _MergedRuns of two.
     The state is key & mask, mapped by to_bits where the state is a Dicke
     rank; the value is ((key >> shift) + lo) / den, an int over int division
     that rounds once, so it is np.divide's float of the int64 numerator bit
     for bit (objective_denominator keeps both below 2^53).  The key is read
-    through a memoryview, as a Python int with no numpy scalar.
+    as a Python int with no numpy scalar.  The closure holds view and the
+    decode constants, never the SearchSpace, so dropping the space frees the
+    key buffer at once.
     """
-    view = memoryview(keys)
     mask = (1 << shift) - 1
     if to_bits is None:
         def entry(rank: int) -> tuple[int, float]:
@@ -140,38 +144,81 @@ def _key_decoder(
     return entry
 
 
+class _MergedRuns:
+    """Two sorted runs of unique keys, read by rank as their merged order.
+
+    self[rank] is the rank-th smallest key of both runs, found by a binary
+    search over how many of the rank smallest come from the first run.  Both
+    runs are read through memoryviews, as Python ints.
+    """
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: np.ndarray, second: np.ndarray):
+        self.first, self.second = memoryview(first), memoryview(second)
+
+    def split(self, rank: int) -> int:
+        """How many of the `rank` smallest keys (0 <= rank <= both lengths) lie in the first run."""
+        first, second = self.first, self.second
+        low = rank - len(second) if rank > len(second) else 0
+        high = rank if rank < len(first) else len(first)
+        # The count is the least i at which first[i] follows second[rank - 1 - i],
+        # the second run's (rank - i)-th key; the test turns true once and stays
+        # true as i grows.
+        last = rank - 1
+        while low < high:
+            mid = (low + high) >> 1
+            if first[mid] > second[last - mid]:
+                high = mid
+            else:
+                low = mid + 1
+        return low
+
+    def __getitem__(self, rank: int) -> int:
+        i = self.split(rank)
+        j = rank - i
+        first, second = self.first, self.second
+        if j == len(second) or (i < len(first) and first[i] < second[j]):
+            return first[i]
+        return second[j]
+
+
 class SearchSpace:
     """Enumerated objective values over a formulation's search space, as one sorted key buffer.
 
-    The index is one in-place sort of uint64 keys that pack each state's
+    The index is an in-place sort of uint64 keys that pack each state's
     exact integer value (its numerator at objective_denominator, less the
     smallest one, lo) above its state index: key = (n - lo) << shift | state.
-    Equal values are bit-equal floats, ties keep state-index order, and the
-    order is the same on every host.  A draw reads one key and decodes it:
-    the state is key & mask (on the Dicke space a support rank, mapped to
-    its bitmask by dicke_rank_decoder) and the value ((key >> shift) + lo) /
-    den.  A threshold count is one binary search of a key bound, and
-    class-uniform sampling is one lookup.  ``order`` and ``sorted_values``,
-    every sorted state's bitmask and value, are unpacked from the keys on
-    each access and not kept; ``levels``, the LevelTable of the values, is
-    built on first access and kept.
+    The keys are unique, so their sorted order is the (value, state) order:
+    equal values are bit-equal floats, ties keep state-index order, and the
+    order is the same on every host.  A draw reads the key of its rank and
+    decodes it: the state is key & mask (on the Dicke space a support rank,
+    mapped to its bitmask by dicke_rank_decoder) and the value
+    ((key >> shift) + lo) / den.  A threshold count is one binary search of
+    a key bound per run, and class-uniform sampling is one lookup.
+    ``order`` and ``sorted_values``, every sorted state's bitmask and value,
+    are unpacked from the keys on each access and not kept; ``levels``, the
+    LevelTable of the values, is built on first access and kept.
 
     Split: each O(size) pass of the build (the last row of objective_values,
     the value range scan, packing the keys, sorting them) and of the arrays
     built on access runs as two parts, one in the caller and one on a
     thread, when index_parts says so; otherwise as one part, with no
-    partition and no thread.  The two-part sort is one in-place
-    ``key.partition(size // 2)`` and then the two halves sorted at the same
-    time: the keys are unique, so this is the order of one full sort, and
-    both part counts give bit-identical keys.
+    thread, and the buffer is one sorted run.  Two parts each sort their own
+    contiguous half of the buffer in place, at the same time, and leave two
+    sorted runs.  Every state of the first run is below every state of the
+    second, so each value level lists the first run's states and then the
+    second's; the merged order is that of one full sort.  A rank is read
+    through _MergedRuns, a count sums one binary search per run, and
+    ``levels``, ``order`` and ``sorted_values`` merge the runs on access.
 
     Memory: an instance holds one O(size) array, the key buffer (8 bytes
-    per state; it is the buffer objective_values returns).  Packing runs in
-    place, in blocks of INDEX_BLOCK / parts entries, so two parts together
-    hold no more temporaries than one; the partition and the half sorts run
-    in place.  ``order`` (4 bytes per state, 8 above 31 variables) and
+    per state; it is the buffer objective_values returns), and views of it.
+    Packing runs in place, in blocks of INDEX_BLOCK / parts entries, so two
+    parts together hold no more temporaries than one; the run sorts run in
+    place.  ``order`` (4 bytes per state, 8 above 31 variables) and
     ``sorted_values`` (8) are new arrays on every access, filled block by
-    block.
+    block, each block merged from the runs into a block-sized buffer.
     """
 
     def __init__(self, form: Formulation):
@@ -202,14 +249,33 @@ class SearchSpace:
             block |= np.arange(rows.start, rows.stop, dtype=np.uint64)
 
         _each_block(size, pack)
-        # Keys are unique (they hold the state), so splitting them at the median
-        # and sorting each half is one full sort.
-        if len(pieces) > 1:
-            key.partition(pieces[1].start)
-        run_parts(lambda part: key[pieces[part]].sort(), len(pieces))
+        # Each part sorts its own piece: the buffer holds one sorted run per part.
+        self._runs = runs = tuple(key[piece] for piece in pieces)
+        run_parts(lambda part: runs[part].sort(), len(runs))
         to_bits = dicke_rank_decoder(form.size_n) if form.kind is FormulationKind.QUBO_DICKE else None
-        self._entry = _key_decoder(key, shift, lo, den, to_bits)
+        view = memoryview(key) if len(runs) == 1 else _MergedRuns(*runs)
+        self._entry = _key_decoder(view, shift, lo, den, to_bits)
         self._last_count = (math.nan, 0, 0.0)
+
+    def _each_sorted_block(self, task: Callable[[slice, np.ndarray], object]) -> None:
+        """task(rows, keys) on every block of ranks (_each_block), with keys the sorted
+        keys at those ranks: a view of the one run, or a block merged from the two."""
+        keys, runs = self._keys, self._runs
+        if len(runs) == 1:
+            _each_block(self.size, lambda rows: task(rows, keys[rows]))
+            return
+        first, second = runs
+        split = _MergedRuns(first, second).split
+
+        def merge(rows: slice) -> None:
+            # The ranks' keys are a contiguous stretch of each run, sorted
+            # together (a stable sort merges the two sorted stretches).
+            i, j = split(rows.start), split(rows.stop)
+            block = np.concatenate((first[i:j], second[rows.start - i : rows.stop - j]))
+            block.sort(kind="stable")
+            task(rows, block)
+
+        _each_block(self.size, merge)
 
     @property
     def order(self) -> np.ndarray:
@@ -217,48 +283,60 @@ class SearchSpace:
 
         int32, or uint64 above 31 variables, where a qubo-d mask at N=8 sets bit 63.
         """
-        keys, form = self._keys, self.form
+        form = self.form
         order = np.empty(self.size, dtype=np.uint64 if form.num_vars > 31 else np.int32)
         mask = (1 << self._shift) - 1
 
-        def fill(rows: slice) -> None:
-            np.bitwise_and(keys[rows], mask, out=order[rows], casting="unsafe")
+        def fill(rows: slice, keys: np.ndarray) -> None:
+            np.bitwise_and(keys, mask, out=order[rows], casting="unsafe")
             if form.kind is FormulationKind.QUBO_DICKE:
                 order[rows] = dicke_rank_to_bits(form, order[rows])
 
-        _each_block(self.size, fill)
+        self._each_sorted_block(fill)
         return order
 
     @property
     def sorted_values(self) -> np.ndarray:
         """Value of each sorted state (float64, ascending), built on each access."""
-        keys, shift, lo, den = self._keys, self._shift, self._lo, self._den
+        shift, lo, den = self._shift, self._lo, self._den
         values = np.empty(self.size)
 
-        def fill(rows: slice) -> None:
-            numerators = (keys[rows] >> shift).view(np.int64)
+        def fill(rows: slice, keys: np.ndarray) -> None:
+            numerators = (keys >> shift).view(np.int64)
             numerators += lo
             np.divide(numerators, den, out=values[rows])
 
-        _each_block(self.size, fill)
+        self._each_sorted_block(fill)
         return values
 
     @cached_property
     def levels(self) -> LevelTable:
-        """The LevelTable of the sorted values, read off the keys' exact numerators (int64)."""
+        """The LevelTable of the sorted values, read off the keys' exact numerators (int64).
+
+        Each run's levels start where key >> shift differs from the key before
+        it in the run; two runs' tables merge by numerator.
+        """
         keys, shift = self._keys, self._shift
         found: dict[int, np.ndarray] = {}
 
         def scan(rows: slice) -> None:
-            # A level starts where key >> shift differs from the key before it.
             before = max(rows.start - 1, 0)
             level = keys[before : rows.stop] >> shift
             found[rows.start] = np.flatnonzero(level[1:] != level[:-1]) + (before + 1)
 
         _each_block(self.size, scan)
-        starts = np.concatenate([np.zeros(1, dtype=np.int64), *(found[first] for first in sorted(found))])
+        # Every run starts a level, whatever the key before it in the buffer.
+        run_starts = np.cumsum([0, *(run.size for run in self._runs[:-1])])
+        starts = np.union1d(np.concatenate([*found.values()]), run_starts)
         numerators = (keys[starts] >> shift).astype(np.int64) + self._lo
-        return LevelTable(starts, np.diff(starts, append=self.size), numerators)
+        counts = np.diff(starts, append=self.size)
+        if len(self._runs) > 1:
+            # A value's level holds its states of both runs, in run order.
+            numerators, where = np.unique(numerators, return_inverse=True)
+            counts, by_run = np.zeros(numerators.size, dtype=np.int64), counts
+            np.add.at(counts, where, by_run)
+            starts = np.cumsum(counts) - counts
+        return LevelTable(starts, counts, numerators)
 
     def count_below(self, threshold: float) -> int:
         """Number of states whose value is strictly below `threshold` (all of them at NaN,
@@ -275,22 +353,19 @@ class SearchSpace:
             n += 1
         while (n - 1) / den >= threshold:
             n -= 1
-        return int(self._keys.searchsorted(np.uint64((n - lo) << self._shift)))
+        bound = np.uint64((n - lo) << self._shift)
+        return sum(int(run.searchsorted(bound)) for run in self._runs)
 
-    def _marked(self, threshold: float, rotations: int) -> tuple[int, float]:
-        """Marked count t and the probability of the marked class (exactly 1 when t = size).
+    def _recount(self, threshold: float) -> tuple[int, float]:
+        """Marked count t and Grover angle at `threshold`, kept with it in _last_count.
 
-        The count and Grover angle of the last threshold seen are cached: a
-        GAS run keeps its threshold until a sample improves on it.
+        A GAS run keeps its threshold until a sample improves on it, so draw and
+        sample recount only when the threshold changes.
         """
-        last, t, angle = self._last_count
-        if threshold != last:
-            t = self.count_below(threshold)
-            angle = _grover_angle(t / self.size)
-            self._last_count = (threshold, t, angle)
-        if t == self.size:
-            return t, 1.0
-        return t, _rotated_probability(angle, rotations)
+        t = self.count_below(threshold)
+        angle = _grover_angle(t / self.size)
+        self._last_count = (threshold, t, angle)
+        return t, angle
 
     def uniform_sample(self, rng: np.random.Generator) -> tuple[int, float]:
         return self._entry(int(rng.integers(self.size)))
@@ -300,23 +375,30 @@ class SearchSpace:
 
     def sample(self, threshold: float, rotations: int, rng: np.random.Generator) -> tuple[int, float]:
         """One measurement of G^L applied to the prepared state."""
-        t, p = self._marked(threshold, rotations)
+        last, t, angle = self._last_count
+        if threshold != last:
+            t, angle = self._recount(threshold)
         if t == 0:
             rank = int(rng.integers(self.size))
-        elif t == self.size or rng.random() < p:
+        elif t == self.size or rng.random() < _rotated_probability(angle, rotations):
             rank = int(rng.integers(t))
         else:
             rank = int(rng.integers(t, self.size))
         return self._entry(rank)
 
     def draw(self, threshold: float, rotations: int, u_branch: float, u_rank: float) -> tuple[int, float]:
-        """`sample` driven by two uniforms on [0, 1): the class, then the rank within it."""
-        t, p = self._marked(threshold, rotations)
-        if u_branch < p:
-            rank = int(u_rank * t)
-        else:
-            rank = t + int(u_rank * (self.size - t))
-        return self._entry(rank)
+        """`sample` driven by two uniforms on [0, 1): the class, then the rank within it.
+
+        The marked class is taken with probability sin^2((2L+1) angle), or
+        always when every state is marked.
+        """
+        last, t, angle = self._last_count
+        if threshold != last:
+            t, angle = self._recount(threshold)
+        size = self.size
+        if t == size or u_branch < math.sin((2 * rotations + 1) * angle) ** 2:
+            return self._entry(int(u_rank * t))
+        return self._entry(t + int(u_rank * (size - t)))
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +714,7 @@ def run_gas(
     best_bits, threshold = bits0, value0
     k = 1.0
     stall = 0
-    draw, record = sampler.draw, trace.iterations.append
+    draw, record, growth = sampler.draw, trace.iterations.append, config.lambda_growth
 
     uniforms = zip(range(config.max_iterations), _uniform_triples(rng))
     for _, (u_rotation, u_branch, u_rank) in uniforms:
@@ -646,7 +728,9 @@ def run_gas(
             k = 1.0
             stall = 0
         else:
-            k = min(config.lambda_growth * k, sqrt_cap)
+            k *= growth
+            if k > sqrt_cap:
+                k = sqrt_cap
             stall += 1
         record(GasIteration(rotations, bits, value, accepted, threshold, k))
 

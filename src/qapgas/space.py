@@ -77,7 +77,8 @@ def index_parts(size: int) -> int:
     """Parts (1 or 2) that each O(size) pass of an index build over `size` states runs as.
 
     Two when the space spans more than one INDEX_BLOCK and this process may run
-    on at least two cores; otherwise one, with no partition and no thread.
+    on at least two cores; otherwise one, with no thread.  A SearchSpace index
+    holds one sorted run of keys per part.
     """
     if size <= INDEX_BLOCK:
         return 1

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import os
@@ -6,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -482,10 +484,11 @@ def fraction_form():
     return Formulation(FormulationKind.QUBO_HADAMARD, poly, 6, 2, (1.0, 1.0), inst)
 
 
-def assert_draws_read_the_arrays(space, ranks):
+def assert_draws_read_the_arrays(space, ranks, arrays=None):
     """minimum, uniform_sample and draw return (int(order[r]), float(sorted_values[r]))
-    at every rank r they pick, as a Python int and float."""
-    order, values = space.order, space.sorted_values
+    at every rank r they pick, as a Python int and float; `arrays` replaces the
+    space's own (order, sorted_values)."""
+    order, values = arrays if arrays is not None else (space.order, space.sorted_values)
 
     def assert_entry(entry, rank):
         assert type(entry[0]) is int and type(entry[1]) is float
@@ -558,6 +561,64 @@ class TestKeyDecode:
         arrays = [v for v in vars(space).values() if isinstance(v, np.ndarray)]
         assert len(arrays) == 1 and arrays[0].dtype == np.uint64 and arrays[0].size == space.size
         assert space.order is not space.order  # built on each access, not kept
+
+
+class TestTwoRunIndex:
+    """With two usable cores a space of more than one block is two sorted runs, read
+    through their merged order."""
+
+    @pytest.mark.parametrize("kind, n", [("hubo-hw", 6), ("qubo-d", 7)])
+    def test_draws_and_counts_equal_one_full_sort(self, monkeypatch, kind, n):
+        usable_cores(monkeypatch, 2)
+        form = encode(random_instance(n, seed=2), kind)
+        assert index_parts(form.space_size) == 2
+        space = SearchSpace(form)
+        size = space.size
+        order, values = full_sort_reference(form)
+        starts, counts, _ = space.levels
+        ranks = np.concatenate(
+            [
+                starts,
+                starts + counts - 1,
+                [size // 2 - 1, size // 2],
+                np.random.default_rng(n).integers(size, size=300),
+            ]
+        )
+        assert_draws_read_the_arrays(space, ranks.tolist(), (order, values))
+        assert np.array_equal(space.sorted_values, values)
+        assert_counts_are_searchsorted(space)
+
+    def test_exact_engine_draws_equal_search_space_draws(self, monkeypatch):
+        usable_cores(monkeypatch, 2)
+        form = encode(random_instance(6, seed=2), "hubo-hw")
+        space, engine = SearchSpace(form), ExactEngine(form)
+        values = space.sorted_values
+        uniforms = (0.0, 0.3, 0.7, TOP_UNIFORM)
+        for y in (values[0], values[space.size // 2], values[-1], values[-1] + 1.0):
+            for rotations in (0, 1, 3):
+                for u_branch in uniforms:
+                    for u_rank in uniforms:
+                        draw = (float(y), rotations, u_branch, u_rank)
+                        assert engine.draw(*draw) == space.draw(*draw)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("sampler", [SearchSpace, ExactEngine])
+    def test_freed_by_reference_counting(self, monkeypatch, cores, sampler):
+        """Dropping the last reference frees the index at once: no reference cycle
+        waits for the cycle collector while the next space is built."""
+        usable_cores(monkeypatch, cores)
+        form = encode(random_instance(6, seed=2), "hubo-hw")
+        gc.disable()
+        try:
+            space = sampler(form)
+            space.draw(float(space.minimum()[1]) + 1.0, 1, 0.5, 0.5)
+            space.levels  # kept on the instance once built
+            space_ref, keys_ref = weakref.ref(space), weakref.ref(space._keys.base)
+            del space
+            assert space_ref() is None
+            assert keys_ref() is None
+        finally:
+            gc.enable()
 
 
 class TestRunGas:
