@@ -153,7 +153,7 @@ def cmd_gas(args: argparse.Namespace) -> int:
         )
         trace = gas_mod.run_gas(form, config, **shared)
         rows.append(
-            (run_id, trace.queries, trace.queries_with_init, len(trace.iterations),
+            (run_id, trace.queries, trace.queries_with_init, len(trace.records),
              f"{trace.best_value:.9g}")
         )
     out = ["run_id,queries,queries_with_init,iterations,found_value"]

@@ -165,6 +165,32 @@ class TestGasCommand:
         ])
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
+    # The CSV text of each backend and termination on the fixture instance, recorded while
+    # run_gas still re-derived its draw range from a float k on every iteration.
+    PINNED_CSV = {
+        "emulated": (
+            ["--kind", "qubo-d", "--runs", "5", "--seed", "3"],
+            "run_id,queries,queries_with_init,iterations,found_value\n"
+            "0,16,17,12,1.4375\n1,14,15,9,1.4375\n2,10,11,8,1.4375\n3,2,3,2,1.4375\n4,29,30,22,1.4375\n",
+        ),
+        "exact": (
+            ["--kind", "hubo-hw", "--backend", "exact", "--scale", "100", "--runs", "3", "--seed", "4"],
+            "run_id,queries,queries_with_init,iterations,found_value\n"
+            "0,34,35,18,1.4375\n1,22,23,17,1.4375\n2,7,8,5,1.4375\n",
+        ),
+        "stall": (
+            ["--kind", "hubo-hw", "--runs", "2", "--stall", "10"],
+            "run_id,queries,queries_with_init,iterations,found_value\n"
+            "0,23,24,16,1.4375\n1,44,45,24,1.4375\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_CSV))
+    def test_csv_text_is_pinned(self, instance_file, capsys, case):
+        args, text = self.PINNED_CSV[case]
+        main(["gas", "--in", str(instance_file), *args])
+        assert capsys.readouterr().out == text
+
 
 class TestMetricsCommand:
     def test_table(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import math
@@ -23,9 +24,13 @@ from qapgas.encodings import (
     search_space_sizes,
 )
 from qapgas.gas import (
+    OPTIMUM_TOL,
     UNIFORM_BLOCK,
     ExactEngine,
     GasConfig,
+    GasIteration,
+    GasTrace,
+    IterationCap,
     KnownOptimum,
     SearchSpace,
     ThresholdStall,
@@ -744,6 +749,211 @@ class TestRunGas:
             for seed in range(5)
         ]
         assert digests == self.TRAJECTORY_DIGESTS["hubo-hw"]
+
+    # SHA-256 digests recorded while run_gas still re-derived its draw range from a float k
+    # on every iteration and built one GasIteration per iteration.
+    def test_cdf_query_arrays_are_pinned(self):
+        inst = random_instance(4, 1)
+        _, best = brute_force_optimum(inst)
+        forms = {k.value: encode(inst, k) for k in FormulationKind}
+        res = cdf_experiment(forms, best, runs=40, seed=11)
+        arrays = {kind: counts.tolist() for kind, counts in sorted(res.queries.items())}
+        digest = hashlib.sha256(repr(arrays).encode()).hexdigest()
+        assert digest == "69e285bb54f35c3344d192a1192083526b1ca1321ca18f26f2c8056df02551f6"
+
+    def test_stall_trajectory_is_pinned(self):
+        form = encode(random_instance(4, 1), "hubo-hw")
+        config = GasConfig(termination=ThresholdStall(25), seed=3, max_iterations=1000)
+        trace = run_gas(form, config)
+        assert trace.stop_reason == "stall"
+        digest = self.trajectory_digest(trace)
+        assert digest == "43fcbf18d340ca5a2995fc8bd70ac6c4e4de53fb2b987f36a687cf362480dfb6"
+
+    def test_leaky_exact_trajectory_is_pinned(self):
+        """At scale 4 the register of dyadic_instance(3, 21) reads levels with weights
+        strictly between 0 and 1."""
+        form = encode_hubo_hw(dyadic_instance(3, seed=21))
+        engine = ExactEngine(form, scale=4.0)
+        trace = run_gas(form, GasConfig(backend="exact", seed=6, max_iterations=200), engine=engine)
+        digest = self.trajectory_digest(trace)
+        assert digest == "6bd4b362a12cbf96a82ae7238db92360dd4b8d2caf2643b4f58b24c30fd3a7fa"
+
+
+
+def reference_uniform_triples(rng):
+    """The (rotation, branch, rank) uniforms of successive iterations, read in blocks."""
+    while True:
+        block = iter(rng.random(3 * UNIFORM_BLOCK).tolist())
+        yield from zip(block, block, block)
+
+
+def reference_run_gas(form, config, sampler):
+    """run_gas as one plain loop: the draw range re-derived from a float k on every
+    iteration by draw_rotation_count, and one GasIteration per iteration."""
+    rng = np.random.default_rng(config.seed)
+    sqrt_cap = math.sqrt(sampler.size)
+    term = config.termination
+    target = term.value + OPTIMUM_TOL if isinstance(term, KnownOptimum) else -math.inf
+    limit = term.limit if isinstance(term, ThresholdStall) else math.inf
+
+    bits0, value0 = sampler.uniform_sample(rng)
+    iterations = []
+    best_bits, threshold = bits0, value0
+    k = 1.0
+    stall = 0
+    uniforms = zip(range(config.max_iterations), reference_uniform_triples(rng))
+    for _, (u_rotation, u_branch, u_rank) in uniforms:
+        if threshold <= target or stall >= limit:
+            break
+        rotations = draw_rotation_count(u_rotation, k)
+        bits, value = sampler.draw(threshold, rotations, u_branch, u_rank)
+        accepted = value < threshold
+        if accepted:
+            best_bits, threshold = bits, value
+            k = 1.0
+            stall = 0
+        else:
+            k *= config.lambda_growth
+            if k > sqrt_cap:
+                k = sqrt_cap
+            stall += 1
+        iterations.append(GasIteration(rotations, bits, value, accepted, threshold, k))
+
+    stop_reason = "optimum" if threshold <= target else "stall" if stall >= limit else "cap"
+    return GasTrace(
+        initial_bits=bits0,
+        initial_value=value0,
+        records=iterations,
+        queries=sum(it.rotations + 1 for it in iterations),
+        best_bits=best_bits,
+        best_value=threshold,
+        found_optimum=threshold <= target if isinstance(term, KnownOptimum) else None,
+        stop_reason=stop_reason,
+    )
+
+
+@pytest.fixture(scope="module")
+def reference_samplers():
+    """(formulation, sampler, optimum) per backend and kind: random_instance(4, 1) on the
+    emulated and the default-scale exact backend, and a leaky scale-4 exact engine."""
+    inst = random_instance(4, 1)
+    _, best = brute_force_optimum(inst)
+    samplers = {}
+    for kind in ("qubo-d", "qubo-h", "hubo-hw"):
+        form = encode(inst, kind)
+        samplers["emulated", kind] = (form, SearchSpace(form), best)
+        samplers["exact", kind] = (form, ExactEngine(form), best)
+    leaky = dyadic_instance(3, seed=21)
+    form = encode_hubo_hw(leaky)
+    samplers["leaky", "hubo-hw"] = (form, ExactEngine(form, scale=4.0), brute_force_optimum(leaky)[1])
+    return samplers
+
+
+REFERENCE_SAMPLERS = [
+    *((backend, kind) for backend in ("emulated", "exact") for kind in ("qubo-d", "qubo-h", "hubo-hw")),
+    ("leaky", "hubo-hw"),
+]
+
+
+def longest_failure_streak(trace):
+    longest = streak = 0
+    for record in trace.records:
+        streak = 0 if record[3] else streak + 1
+        longest = max(longest, streak)
+    return longest
+
+
+class TestDriverLoop:
+    @pytest.mark.parametrize("growth", [8 / 7, 1.5, 2.0])
+    @pytest.mark.parametrize("backend,kind", REFERENCE_SAMPLERS)
+    def test_runs_equal_the_reference_loop(self, reference_samplers, backend, kind, growth):
+        form, sampler, best = reference_samplers[backend, kind]
+        config_backend = "emulated" if backend == "emulated" else "exact"
+        shared = {"space" if backend == "emulated" else "engine": sampler}
+        for termination in (IterationCap(), ThresholdStall(25), KnownOptimum(best)):
+            for cap in (1, 63, 64, 65, 200):
+                for seed in range(2):
+                    config = GasConfig(
+                        lambda_growth=growth, max_iterations=cap, termination=termination,
+                        backend=config_backend, seed=seed,
+                    )
+                    trace = run_gas(form, config, **shared)
+                    assert trace == reference_run_gas(form, config, sampler)
+
+    def test_ladder_near_growth_one_grows_only_with_the_streak(self):
+        """At lambda = 1 + 1e-12, k takes ~10^12 failures to reach its cap; the stage lists
+        grow only as far as the longest failure streak, within a wall budget."""
+        form = encode(random_instance(4, 1), "qubo-h")
+        space = SearchSpace(form)
+        config = GasConfig(lambda_growth=1 + 1e-12, max_iterations=3000, seed=7)
+        gas_module._stage_ladder.cache_clear()
+        start = time.perf_counter()
+        trace = run_gas(form, config, space=space)
+        assert time.perf_counter() - start < 5.0
+        reference = reference_run_gas(form, config, space)
+        assert [it.k_after for it in trace.iterations] == [it.k_after for it in reference.iterations]
+        ladder = gas_module._stage_ladder(space.size, config.lambda_growth)
+        longest = longest_failure_streak(trace)
+        assert longest > 1000
+        assert len(ladder.ks) == len(ladder.spans) == longest + 1 <= config.max_iterations + 1
+
+    def test_threads_share_one_ladder(self):
+        """Runs on several threads extend one fresh ladder at once: every trace still
+        equals the reference loop's, and the ladder grows only with the longest streak."""
+        form = encode(random_instance(4, 1), "hubo-hw")
+        runs, growth = 8, 1.01
+        spaces = [SearchSpace(form) for _ in range(runs)]
+        configs = [GasConfig(lambda_growth=growth, max_iterations=1000, seed=seed) for seed in range(runs)]
+        traces = [None] * runs
+        start = threading.Barrier(runs)
+
+        def work(run):
+            start.wait(timeout=60)
+            traces[run] = run_gas(form, configs[run], space=spaces[run])
+
+        gas_module._stage_ladder.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(run,)) for run in range(runs)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for trace, config, space in zip(traces, configs, spaces):
+            assert trace == reference_run_gas(form, config, space)
+        ladder = gas_module._stage_ladder(form.space_size, growth)
+        longest = max(longest_failure_streak(trace) for trace in traces)
+        assert len(ladder.ks) == len(ladder.spans) <= longest + 1
+        assert ladder.ks[-1] == math.sqrt(form.space_size)
+
+    def test_ladder_cache_is_bounded(self):
+        form = encode(random_instance(3, seed=14), "hubo-hw")
+        space = SearchSpace(form)
+        for step in range(40):
+            run_gas(form, GasConfig(lambda_growth=1.01 + step / 100, max_iterations=5, seed=1), space=space)
+        assert gas_module._stage_ladder.cache_info().currsize <= 16
+
+    def test_trace_surface(self):
+        form = encode(random_instance(3, seed=14), "hubo-hw")
+        space = SearchSpace(form)
+        config = GasConfig(max_iterations=80, seed=5)
+        trace = run_gas(form, config, space=space)
+        iterations = trace.iterations
+        assert isinstance(iterations, list) and len(iterations) == 80
+        assert all(type(it) is GasIteration for it in iterations)
+        assert trace.iterations is iterations
+        assert trace.queries == sum(it.rotations + 1 for it in iterations)
+        assert trace.queries_with_init == trace.queries + 1
+        assert trace.thresholds == [it.threshold_after for it in iterations]
+        twin = run_gas(form, config, space=space)
+        assert twin == trace
+        *same, last = twin.records
+        changed = dataclasses.replace(twin, records=[*same, (*last[:-1], last[-1] + 1.0)])
+        assert changed != trace
 
 
 class TestExactEngine:
