@@ -17,7 +17,10 @@ the code indicator of ``assignment_indicator_poly`` in its place.
 Variable ordering is row-major: variable index = row * row_width + offset,
 where row_width is N for the QUBO encodings and B = ceil(log2 N) for hubo-hw.
 Encoder coefficients are exact Fractions so that term counting never depends
-on floating-point cancellation.
+on floating-point cancellation.  ``_encode`` reads each matrix entry and
+penalty as a fraction of denominator at most 10**6, refusing with ValueError
+one it would have to round, and adds up the terms in Python ints over one
+common denominator before turning each into a Fraction.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -166,8 +169,34 @@ class Formulation:
         return Permutation(tuple(mapping))
 
 
-def _fraction_matrix(mat: np.ndarray) -> list[list[Fraction]]:
-    return [[Fraction(v).limit_denominator(10**6) for v in row] for row in mat]
+@lru_cache(maxsize=4096)
+def _exact(value: float) -> Fraction:
+    """The exact coefficient taken for a matrix entry or penalty.
+
+    That is the nearest fraction with denominator at most 10**6.  A float
+    computed from decimals stands for such a fraction give or take its last
+    bits (a normalized .dat file holds 0.6 / 0.8 = 0.7499999999999999, read as
+    3/4): one division of two rounded decimals is off by less than 4 ulps.  A
+    value farther than that from the fraction (0.1234567, or a penalty of
+    1e-7 that would become 0) would be encoded as a different number, so it
+    raises ValueError instead.  Kept per distinct value, as instances repeat
+    their entries and are encoded once per kind.
+    """
+    exact = Fraction(value).limit_denominator(10**6)
+    value = float(value)
+    if abs(float(exact) - value) > 4 * math.ulp(value):
+        raise ValueError(
+            f"{value!r} is no fraction with denominator <= 10**6, so the encoding "
+            "would round it; round the entry or penalty first"
+        )
+    return exact
+
+
+def _scaled_matrix(mat: np.ndarray) -> tuple[list[list[int]], int]:
+    """(den * mat as ints, den), den the LCM of the entries' denominators."""
+    exact = [[_exact(v) for v in row] for row in mat.tolist()]
+    den = math.lcm(*(v.denominator for row in exact for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in exact], den
 
 
 def _transpose_product(x: list[list], y: list[list]) -> list[list]:
@@ -207,21 +236,34 @@ def _encode(
     so three basis-sized matrices and one pass over row pairs give the whole
     polynomial.  Without lam_row (the Dicke space, whose rows are one-hot by
     construction) the row penalty is left out.
+
+    amat holds integers.  Flow, distance and penalties are read by _exact
+    (ValueError for a value it would round) and scaled to integers over one
+    common denominator den, so the pass adds ints; each sum becomes
+    Fraction(sum, den) at the end, and MultilinearPolynomial drops the zero
+    ones and keeps first-insertion order, which gives the same terms in the
+    same order as adding Fractions would.
     """
     lams = (lam_col,) if lam_row is None else (lam_row, lam_col)
     if min(lams) <= 0:
         raise ValueError("penalty coefficients must be positive")
     n = inst.size_n
-    flow = _fraction_matrix(inst.flow)
-    dist = _fraction_matrix(inst.dist)
-    lr = Fraction(0) if lam_row is None else Fraction(lam_row).limit_denominator(10**6)
-    lc = Fraction(lam_col).limit_denominator(10**6)
+    flow, flow_den = _scaled_matrix(inst.flow)
+    dist, dist_den = _scaled_matrix(inst.dist)
+    lr = Fraction(0) if lam_row is None else _exact(lam_row)
+    lc = _exact(lam_col)
+    # den is a multiple of every coefficient's denominator: flow_den * dist_den
+    # for f_ik c_jl, and the penalties'.  flow scaled by den / dist_den times
+    # A^T C A with C scaled by dist_den is den f_ik (A^T C A)_ST.
+    den = math.lcm(flow_den * dist_den, lr.denominator, lc.denominator)
+    flow = [[f * (den // (flow_den * dist_den)) for f in row] for row in flow]
+    lr, lc = (lam.numerator * (den // lam.denominator) for lam in (lr, lc))
     rows, cols = range(n), range(len(basis))
     s = [sum(amat[j][p] for j in rows) for p in cols]
     obj = _transpose_product(amat, _transpose_product(list(zip(*dist)), amat))  # A^T (C A)
     gram = _transpose_product(amat, amat)
 
-    def nonzero(mat: list[list], weight: Fraction) -> list[tuple[int, int, Fraction]]:
+    def nonzero(mat: list[list[int]], weight: int) -> list[tuple[int, int, int]]:
         return [(p, q, weight * v) for p, row in enumerate(mat) for q, v in enumerate(row) if v]
 
     objective = nonzero(obj, 1)
@@ -232,11 +274,11 @@ def _encode(
     linear = [(p, -2 * (lr + lc) * v) for p, v in enumerate(s) if v]
     unions = [[tuple(sorted(set(a) | set(b))) for b in basis] for a in basis]
     keys = [[tuple(i * width + v for v in mono) for mono in basis] for i in rows]
-    acc: dict[tuple[int, ...], Fraction] = {(): (lr + lc) * n}
+    # den * coefficient, in first-insertion order: that order is the term order.
+    acc: dict[tuple[int, ...], int | Fraction] = {(): (lr + lc) * n}
 
-    def add(key: tuple[int, ...], coeff: Fraction) -> None:
-        old = acc.get(key)
-        acc[key] = coeff if old is None else old + coeff
+    def add(key: tuple[int, ...], coeff: int) -> None:
+        acc[key] = acc.get(key, 0) + coeff
 
     for i in rows:
         row_keys, fii = keys[i], flow[i][i]
@@ -260,6 +302,8 @@ def _encode(
                 for p, q, v in objective:
                     add(row_keys[q] + other_keys[p], fki * v)
 
+    for key, v in acc.items():  # in place: a second dict of every term would raise the peak
+        acc[key] = Fraction(v, den)
     poly = MultilinearPolynomial(n * width, acc)
     penalties = tuple(float(lam) for lam in lams)
     return Formulation(kind, poly, n * width, n, penalties, inst, code_table=code_table)
@@ -304,7 +348,8 @@ def encode_hubo_hw(
     bits = table.bits_b
     indicators = [assignment_indicator_poly(table, 0, j, bits).terms for j in range(n)]
     basis = sorted({key for terms in indicators for key in terms}, key=lambda k: (len(k), k))
-    amat = [[terms.get(key, 0) for key in basis] for terms in indicators]
+    # The indicators' coefficients are integers (products of 0/1 and +-1 factors).
+    amat = [[int(terms.get(key, 0)) for key in basis] for terms in indicators]
     return _encode(
         inst, FormulationKind.HUBO_HW, basis, amat, bits, lam_row, lam_col, code_table=table
     )

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -16,7 +17,15 @@ from qapgas.encodings import (
     term_census,
 )
 from qapgas.polynomials import MultilinearPolynomial
-from qapgas.qap import Permutation, QapInstance, generic_instance, objective, random_instance
+from qapgas.qap import (
+    Permutation,
+    QapInstance,
+    dense_instance,
+    generic_instance,
+    objective,
+    random_instance,
+)
+from qapgas.samples import SAMPLE_SIZES, sample_instance
 
 ALL_KINDS = tuple(FormulationKind)
 
@@ -271,6 +280,116 @@ class TestEveryCoefficient:
         for x in range(1 << form.num_vars):
             ind = location_indicators(form, x)
             assert form.poly.evaluate(x) == defined_value(flow, dist, lam_row, lam_col, ind), x
+
+
+class TestPinnedTerms:
+    """The encoded terms -- keys, order, values and types -- are pinned.
+
+    Each digest is the SHA-256 of the repr of [list(form.poly.terms.items())
+    for N = 2..8] (the bundled sizes in that range for sample_instance),
+    recorded when the encoder still summed Fractions term by term.
+    """
+
+    MAKERS = {
+        "generic": lambda n: generic_instance(n, 5),
+        "random": lambda n: random_instance(n, 5),
+        "dense": lambda n: dense_instance(n, 5),
+        "sample": sample_instance,
+    }
+    DIGESTS = {
+    ("generic", "qubo-h", "default"): "587167f69d32e1813b8eaba663689ddcce7baf2a6774eba304d97b39cb025e7e",
+    ("generic", "qubo-h", "custom"): "8feb9e0c0ad0a1d05d10c61d0086c762a7919e107662e260f0cab06266c4c284",
+    ("generic", "qubo-d", "default"): "af4de1151badbbbce83084b9b8c3d316acfe58e2f0ecfb5ce143646a014d09b8",
+    ("generic", "qubo-d", "custom"): "f9d86b37e55ddb993de9c732f14ec00fa7d775814220dbcbee212b67b53b8f74",
+    ("generic", "hubo-hw", "default"): "3f09792b4371c452ed3b6ae712d3ea05d36691666b266209f4593ba76a526412",
+    ("generic", "hubo-hw", "custom"): "cc6c6f8917b495a4ec1aab28a0425136046c30371bcbfad8e1ed4682159c8c63",
+    ("random", "qubo-h", "default"): "9967511c4972bce9adbea536d95e3b62cdf80e0b5f45dead471f1a3b23552735",
+    ("random", "qubo-h", "custom"): "8ef6f2e7631f7a919acdbb4bf95a1e0e89c38c539a1eeb774311e0ec02085259",
+    ("random", "qubo-d", "default"): "87a363b4658c2a3fb79248b65d487063542fcf03a55fab096af284cd8623184a",
+    ("random", "qubo-d", "custom"): "2334c2d0be68935ed2e7996ee1a125da2a379fae0b87500359e9f3f122549d6f",
+    ("random", "hubo-hw", "default"): "65fb78bb78c78adbdd33cb24aa3ee7ea8a477ab9b17d6b92efad511fd4fec9d1",
+    ("random", "hubo-hw", "custom"): "ee9520321e7b142bb3cb3345cfe582fd52e6b299ce25e3773626f6544e16270f",
+    ("dense", "qubo-h", "default"): "9d3bfdd737597d5d65c99c9243fdaf763abd2d9ad9683dd5bcc72f7a683d1ef4",
+    ("dense", "qubo-h", "custom"): "a00fceb686dd1df04af0a079c40e4cbe1b1ea762d7aa284299497a9060020ed7",
+    ("dense", "qubo-d", "default"): "5724c67c8d403cfb99498ee5930765f54e7035bf8f7b3db1b4bdfc474bed901e",
+    ("dense", "qubo-d", "custom"): "5a3544e7951a02eedb7cd44927b9e8d6a639471703e8daf028a51aad5bd32b52",
+    ("dense", "hubo-hw", "default"): "16adcfaaa9ad46fc45ed253d6695d8fdfacd07efe2aae6ba1793dffb4cbedf67",
+    ("dense", "hubo-hw", "custom"): "a57c99d717b79239afe8ff5bd3ccea5c02f3ee7a4e9e02fe28e55c127a10033b",
+    ("sample", "qubo-h", "default"): "04fd00b7d21eae14e5f580079d4fae3aa5a3f76b9f7aee12b94d05613fab9dd3",
+    ("sample", "qubo-h", "custom"): "9e167ed57827c2a678402522b187199461781c0c6b1be39196ae7b86bfc40992",
+    ("sample", "qubo-d", "default"): "1c3762f14fbc8a56c6c1d64bf50bdd68e8415e8226d2d82e71b40f684829cb91",
+    ("sample", "qubo-d", "custom"): "23a59bc86574e7294fac414990fc76321c763086b9aebff2426c4ae6af36894b",
+    ("sample", "hubo-hw", "default"): "b274c3f1d761e8c8298808356d80b7c6c30c58376cb9feff6253df1b2fe1a98b",
+    ("sample", "hubo-hw", "custom"): "4b05695fb1cf8962030d814342ae277e6eaf9200b0eb02d02facba5fc37cb97a",
+    }
+
+    @pytest.mark.parametrize("maker,kind,penalties", sorted(DIGESTS))
+    def test_terms_match_pinned_digest(self, maker, kind, penalties):
+        pen = {}
+        if penalties == "custom":
+            pen = {"lam_col": 0.3} if kind == "qubo-d" else {"lam_row": 2.5, "lam_col": 0.3}
+        sizes = [n for n in range(2, 9) if maker != "sample" or n in SAMPLE_SIZES]
+        terms = [list(encode(self.MAKERS[maker](n), kind, **pen).poly.terms.items()) for n in sizes]
+        assert all(type(c) is Fraction for form_terms in terms for _, c in form_terms)
+        digest = hashlib.sha256(repr(terms).encode()).hexdigest()
+        assert digest == self.DIGESTS[maker, kind, penalties]
+
+
+class TestInexactInputsRaise:
+    """A value the encoders' exact coefficients cannot hold is refused, never rounded."""
+
+    @pytest.mark.parametrize("lam", [1e-7, 1e-9, 0.1234567])
+    def test_penalty_that_would_round_raises(self, lam):
+        inst = random_instance(3, seed=1)
+        with pytest.raises(ValueError, match="denominator"):
+            encode_qubo(inst, lam_row=lam)
+        with pytest.raises(ValueError, match="denominator"):
+            encode_qubo_dicke(inst, lam_col=lam)
+        with pytest.raises(ValueError, match="denominator"):
+            encode_hubo_hw(inst, lam_col=lam)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("matrix", ["flow", "dist"])
+    def test_entry_that_would_round_raises(self, kind, matrix):
+        inst = random_instance(3, seed=1)
+        mats = {"flow": inst.flow.copy(), "dist": inst.dist.copy()}
+        mats[matrix][0, 1] = mats[matrix][1, 0] = 0.1234567
+        with pytest.raises(ValueError, match="denominator"):
+            encode(QapInstance(3, mats["flow"], mats["dist"]), kind)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_entries_that_round_trip_encode_exactly(self, kind):
+        """1/p for primes just below 10**6 round-trip: encoded, exact optimum."""
+        primes = (999_983, 999_979, 999_961)
+        flow = np.zeros((3, 3))
+        for (i, j), p in zip(((0, 1), (0, 2), (1, 2)), primes):
+            flow[i, j] = flow[j, i] = 1 / p
+        dist = np.full((3, 3), 1 / 3)
+        inst = QapInstance(3, flow, dist)
+        form = encode(inst, kind)
+        for perm in all_permutations(3):
+            value = form.poly.evaluate(form.encode_permutation(perm))
+            assert value == 2 * sum(Fraction(1, p) for p in primes) / 3
+
+    def test_entries_a_few_ulps_off_are_read_as_their_fraction(self):
+        """0.6 / 0.8 is 0.7499999999999999 in floats: it stands for 3/4."""
+        inst = random_instance(3, seed=1)
+
+        def with_entry(value):
+            flow = inst.flow.copy()
+            flow[0, 1] = flow[1, 0] = value
+            return QapInstance(3, flow, inst.dist)
+
+        exact = encode(with_entry(0.75), "qubo-h").poly
+        for value in (0.6 / 0.8, float(np.nextafter(0.75, 1.0))):
+            assert value != 0.75
+            assert encode(with_entry(value), "qubo-h").poly == exact
+            assert encode_qubo(inst, lam_row=value).poly == encode_qubo(inst, lam_row=0.75).poly
+
+    def test_every_bundled_sample_encodes(self):
+        for n in SAMPLE_SIZES:
+            for kind in ALL_KINDS:
+                encode(sample_instance(n), kind)
 
 
 def term_formula(n, kind):
