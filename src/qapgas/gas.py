@@ -8,14 +8,14 @@ re-evaluating each measured sample classically and lowering the threshold on
 improvement.
 
 Two interchangeable backends produce the per-iteration samples, and both
-stand on one index.  The search space is enumerated once as exact integer
-values at the objective's common denominator, every kind from the same
-per-row and row-pair tables (space.objective_values), and indexed by
-sorting packed (value, state) keys in place: as one run, or as two halves
-sorted at the same time on two threads where two cores are usable.  The
-sorted keys are the index (SearchSpace): each draw finds the key of its
-rank in the runs' merged order and decodes its state's bitmask and value
-from it.
+stand on one index.  The search space is enumerated once as int64
+(value, state) keys, each state's exact value at the objective's common
+denominator above its index, written straight from the same per-row and
+row-pair tables for every kind (space.objective_values), and the keys are
+sorted in place: as one run, or as two halves sorted at the same time on
+two threads where two cores are usable.  The sorted keys are the index
+(SearchSpace): each draw finds the key of its rank in the runs' merged
+order and decodes its state's bitmask and value from it.
 
 * ``emulated`` -- classical amplification model: a sample is marked
   (objective strictly below the threshold) with the exact Grover probability
@@ -131,13 +131,13 @@ def _each_block(size: int, task: Callable[[slice], object]) -> None:
 
 
 def _key_decoder(
-    view: memoryview | _MergedRuns, shift: int, lo: int, den: int, to_bits: Callable[[int], int] | None
+    view: memoryview | _MergedRuns, shift: int, den: int, to_bits: Callable[[int], int] | None
 ) -> Callable[[int], tuple[int, float]]:
     """entry(rank): the (bitmask, value) of view[rank], the rank-th sorted key.
 
     view is the memoryview of one sorted run, or the _MergedRuns of two.
     The state is key & mask, mapped by to_bits where the state is a Dicke
-    rank; the value is ((key >> shift) + lo) / den, an int over int division
+    rank; the value is (key >> shift) / den, an int over int division
     that rounds once, so it is np.divide's float of the int64 numerator bit
     for bit (objective_denominator keeps both below 2^53).  The key is read
     as a Python int with no numpy scalar.  The closure holds view and the
@@ -148,11 +148,11 @@ def _key_decoder(
     if to_bits is None:
         def entry(rank: int) -> tuple[int, float]:
             key = view[rank]
-            return key & mask, ((key >> shift) + lo) / den
+            return key & mask, (key >> shift) / den
     else:
         def entry(rank: int) -> tuple[int, float]:
             key = view[rank]
-            return to_bits(key & mask), ((key >> shift) + lo) / den
+            return to_bits(key & mask), (key >> shift) / den
     return entry
 
 
@@ -198,37 +198,36 @@ class _MergedRuns:
 class SearchSpace:
     """Enumerated objective values over a formulation's search space, as one sorted key buffer.
 
-    The index is an in-place sort of uint64 keys that pack each state's
-    exact integer value (its numerator at objective_denominator, less the
-    smallest one, lo) above its state index: key = (n - lo) << shift | state.
+    The build enumerates keys, then sorts them.  objective_values(form, shift)
+    writes each state's int64 key n * 2^shift + state straight from the row
+    tables, with n the state's exact numerator at objective_denominator and
+    2^shift above every state index; the index is those keys sorted in place.
     The keys are unique, so their sorted order is the (value, state) order:
     equal values are bit-equal floats, ties keep state-index order, and the
     order is the same on every host.  A draw reads the key of its rank and
     decodes it: the state is key & mask (on the Dicke space a support rank,
     mapped to its bitmask by dicke_rank_decoder) and the value
-    ((key >> shift) + lo) / den.  A threshold count is one binary search of
-    a key bound per run, and class-uniform sampling is one lookup.
-    ``order`` and ``sorted_values``, every sorted state's bitmask and value,
-    are unpacked from the keys on each access and not kept; ``levels``, the
-    LevelTable of the values, is built on first access and kept.
+    (key >> shift) / den.  A threshold count is one binary search of a key
+    bound per run, and class-uniform sampling is one lookup.  ``order`` and
+    ``sorted_values``, every sorted state's bitmask and value, are unpacked
+    from the keys on each access and not kept; ``levels``, the LevelTable of
+    the values, is built on first access and kept.
 
     Split: each O(size) pass of the build (the last row of objective_values,
-    the value range scan, packing the keys, sorting them) and of the arrays
-    built on access runs as two parts, one in the caller and one on a
-    thread, when index_parts says so; otherwise as one part, with no
-    thread, and the buffer is one sorted run.  Two parts each sort their own
-    contiguous half of the buffer in place, at the same time, and leave two
-    sorted runs.  Every state of the first run is below every state of the
-    second, so each value level lists the first run's states and then the
-    second's; the merged order is that of one full sort.  A rank is read
-    through _MergedRuns, a count sums one binary search per run, and
-    ``levels``, ``order`` and ``sorted_values`` merge the runs on access.
+    the sort) and of the arrays built on access runs as two parts, one in
+    the caller and one on a thread, when index_parts says so; otherwise as
+    one part, with no thread, and the buffer is one sorted run.  Two parts
+    each sort their own contiguous half of the buffer in place, at the same
+    time, and leave two sorted runs.  Every state of the first run is below
+    every state of the second, so each value level lists the first run's
+    states and then the second's; the merged order is that of one full sort.
+    A rank is read through _MergedRuns, a count sums one binary search per
+    run, and ``levels``, ``order`` and ``sorted_values`` merge the runs on
+    access.
 
     Memory: an instance holds one O(size) array, the key buffer (8 bytes
     per state; it is the buffer objective_values returns), and views of it.
-    Packing runs in place, in blocks of INDEX_BLOCK / parts entries, so two
-    parts together hold no more temporaries than one; the run sorts run in
-    place.  ``order`` (4 bytes per state, 8 above 31 variables) and
+    ``order`` (4 bytes per state, 8 above 31 variables) and
     ``sorted_values`` (8) are new arrays on every access, filled block by
     block, each block merged from the runs into a block-sized buffer.
     """
@@ -236,37 +235,17 @@ class SearchSpace:
     def __init__(self, form: Formulation):
         self.form = form
         self.size = size = form.space_size
-        levels = objective_values(form)
-        self._den = den = objective_denominator(form)
-        pieces = _pieces(size)
-        extremes = [(0, 0)] * len(pieces)
-
-        def scan(part: int) -> None:
-            piece = levels[pieces[part]]
-            extremes[part] = (int(piece.min()), int(piece.max()))
-
-        run_parts(scan, len(pieces))
-        self._lo = lo = min(low for low, _ in extremes)
-        self._span = span = max(high for _, high in extremes) - lo
         self._shift = shift = (size - 1).bit_length()
-        if span.bit_length() + shift > 64:
-            raise SpaceScaleError(f"value span {span} and {shift} state bits overflow a 64-bit key")
-        # One buffer, seen as int64 levels and then as uint64 keys.
-        self._keys = key = levels.view(np.uint64)
-
-        def pack(rows: slice) -> None:  # key = (level - lo) << shift | state
-            levels[rows] -= lo
-            block = key[rows]
-            block <<= shift
-            block |= np.arange(rows.start, rows.stop, dtype=np.uint64)
-
-        _each_block(size, pack)
+        self._keys = keys = objective_values(form, shift=shift)
+        self._den = den = objective_denominator(form)
         # Each part sorts its own piece: the buffer holds one sorted run per part.
-        self._runs = runs = tuple(key[piece] for piece in pieces)
+        self._runs = runs = tuple(keys[piece] for piece in _pieces(size))
         run_parts(lambda part: runs[part].sort(), len(runs))
+        # The smallest and largest numerators, off the runs' first and last keys.
+        self._range = (min(int(r[0]) for r in runs) >> shift, max(int(r[-1]) for r in runs) >> shift)
         to_bits = dicke_rank_decoder(form.size_n) if form.kind is FormulationKind.QUBO_DICKE else None
-        view = memoryview(key) if len(runs) == 1 else _MergedRuns(*runs)
-        self._entry = _key_decoder(view, shift, lo, den, to_bits)
+        view = memoryview(keys) if len(runs) == 1 else _MergedRuns(*runs)
+        self._entry = _key_decoder(view, shift, den, to_bits)
         self._last_count = (math.nan, 0, 0.0)
 
     def _each_sorted_block(self, task: Callable[[slice, np.ndarray], object]) -> None:
@@ -310,13 +289,11 @@ class SearchSpace:
     @property
     def sorted_values(self) -> np.ndarray:
         """Value of each sorted state (float64, ascending), built on each access."""
-        shift, lo, den = self._shift, self._lo, self._den
+        shift, den = self._shift, self._den
         values = np.empty(self.size)
 
         def fill(rows: slice, keys: np.ndarray) -> None:
-            numerators = (keys >> shift).view(np.int64)
-            numerators += lo
-            np.divide(numerators, den, out=values[rows])
+            np.divide(keys >> shift, den, out=values[rows])
 
         self._each_sorted_block(fill)
         return values
@@ -340,7 +317,7 @@ class SearchSpace:
         # Every run starts a level, whatever the key before it in the buffer.
         run_starts = np.cumsum([0, *(run.size for run in self._runs[:-1])])
         starts = np.union1d(np.concatenate([*found.values()]), run_starts)
-        numerators = (keys[starts] >> shift).astype(np.int64) + self._lo
+        numerators = keys[starts] >> shift
         counts = np.diff(starts, append=self.size)
         if len(self._runs) > 1:
             # A value's level holds its states of both runs, in run order.
@@ -353,8 +330,8 @@ class SearchSpace:
     def count_below(self, threshold: float) -> int:
         """Number of states whose value is strictly below `threshold` (all of them at NaN,
         which sorts last, as in np.searchsorted of sorted_values)."""
-        lo, den = self._lo, self._den
-        if not threshold <= (lo + self._span) / den:  # above every value, or NaN
+        (lo, hi), den = self._range, self._den
+        if not threshold <= hi / den:  # above every value, or NaN
             return self.size
         if threshold <= lo / den:
             return 0
@@ -365,7 +342,7 @@ class SearchSpace:
             n += 1
         while (n - 1) / den >= threshold:
             n -= 1
-        bound = np.uint64((n - lo) << self._shift)
+        bound = np.int64(n << self._shift)
         return sum(int(run.searchsorted(bound)) for run in self._runs)
 
     def _recount(self, threshold: float) -> tuple[int, float]:

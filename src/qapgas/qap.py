@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -113,7 +114,8 @@ def parse_qaplib(text: str | bytes) -> QapInstance:
     """Parse a QAPLIB-style ``.dat`` stream: N, then F row-major, then C row-major.
 
     Each matrix is divided by its own maximum entry so coefficients land in
-    [0, 1]; an all-zero matrix is left unchanged.
+    [0, 1]; an all-zero matrix is left unchanged.  The tokens are read as
+    exact fractions and each quotient is rounded once, so 0.6 / 0.8 is 0.75.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -123,7 +125,7 @@ def parse_qaplib(text: str | bytes) -> QapInstance:
     values = []
     for pos, tok in enumerate(tokens):
         try:
-            values.append(float(tok))
+            values.append(Fraction(tok))
         except ValueError:
             raise ValueError(f"parse error: non-numeric token {tok!r} at position {pos}") from None
     n = int(values[0])
@@ -135,15 +137,13 @@ def parse_qaplib(text: str | bytes) -> QapInstance:
             f"parse error: expected {expected} tokens for N={n}, got {len(values)} "
             f"(stream ends at position {len(values) - 1})"
         )
-    flat = np.asarray(values[1:])
-    flow = flat[: n * n].reshape(n, n)
-    dist = flat[n * n :].reshape(n, n)
 
-    def normalize(mat: np.ndarray) -> np.ndarray:
-        top = mat.max()
-        return mat / top if top > 0 else mat
+    def normalize(entries: list[Fraction]) -> np.ndarray:
+        top = max(entries)
+        return np.array([float(v / top) if top > 0 else float(v) for v in entries]).reshape(n, n)
 
-    return QapInstance(n, normalize(flow), normalize(dist), name=f"qaplib-n{n}")
+    flow, dist = normalize(values[1 : 1 + n * n]), normalize(values[1 + n * n :])
+    return QapInstance(n, flow, dist, name=f"qaplib-n{n}")
 
 
 def format_qaplib(inst: QapInstance) -> str:

@@ -3,12 +3,12 @@
 A formulation's space is the support of its initial superposition: every
 bitmask of the hypercube kinds (qubo-h, hubo-hw), the N^N row-wise
 assignments of the Dicke-initialized kind (qubo-d).  objective_values lists
-every state's value as an exact int64 numerator over objective_denominator,
-for all three kinds from the same per-row and row-pair tables;
+every state's exact int64 numerator over objective_denominator, or its int64
+sort key, for all three kinds from the same per-row and row-pair tables;
 dicke_rank_to_bits maps Dicke ranks to bitmasks (dicke_rank_decoder one
-rank at a time), and value_bounds bounds the values.  The cap on what is
-enumerated, and the part helpers that run an O(size) pass as two halves on
-two cores, are shared with SearchSpace's index build in gas.
+rank at a time), and value_bounds bounds the values.  The cap, and the part
+helpers that run an O(size) pass as two halves on two cores, are shared with
+SearchSpace's index build in gas, which enumerates the keys and sorts them.
 """
 from __future__ import annotations
 
@@ -122,7 +122,7 @@ def run_parts(task: Callable[[int], object], parts: int) -> None:
 _FOLD_BLOCK = 4096
 
 
-def objective_values(form: Formulation) -> np.ndarray:
+def objective_values(form: Formulation, shift: int = 0) -> np.ndarray:
     """int64 numerators of the objective on every state, over objective_denominator(form).
 
     Row i of a state has a digit d_i in [0, R): its local bit pattern on the
@@ -147,6 +147,13 @@ def objective_values(form: Formulation) -> np.ndarray:
     one INDEX_BLOCK with two usable cores), each with its own increment of
     at most R * _FOLD_BLOCK entries; digit 0, whose block is the old table,
     grows after they join.  Integer sums make both part counts bit-identical.
+
+    With shift > 0 (2^shift > every index), each entry is instead the key
+    n * 2^shift + index of a state with numerator n, sorting as (value,
+    index): the tables are scaled by 2^shift and row i's per-row table adds
+    d_i * R^i.  SpaceScaleError is raised, before enumerating, unless the
+    sums of the tables' minima and maxima keep every key in int64 (partial
+    sums may wrap: int64 adds are exact modulo 2^64).
     """
     size = form.space_size
     if size > EMULATION_SPACE_CAP:
@@ -155,6 +162,11 @@ def objective_values(form: Formulation) -> np.ndarray:
         raise ValueError(f"{form.num_vars} variables do not split into {form.size_n} row blocks")
     tables = _row_tables(form, _integer_terms(form)[1])
     n, radix = tables.shape[1:3]
+    if shift:
+        _check_key_width(tables, shift)
+        tables <<= shift
+        for k in range(n):
+            tables[k, k] += (np.arange(radix) * radix**k)[:, None]
     folded = next((h for h in range(n) if radix**h >= _FOLD_BLOCK), n)
     table = np.zeros(size, dtype=np.int64)
     for k in range(n):
@@ -169,6 +181,17 @@ def objective_values(form: Formulation) -> np.ndarray:
         )
         _grow_row(table, tables, k, low, (0,))
     return table
+
+
+def _check_key_width(tables: np.ndarray, shift: int) -> None:
+    """Raise SpaceScaleError unless n * 2^shift + index fits int64 for every n the
+    row tables allow: the sums of the per-row and row-pair tables' minima and maxima."""
+    n = tables.shape[0]
+    rows, pairs = tables[np.arange(n), np.arange(n), :, 0], tables[np.triu_indices(n, 1)]
+    low = int(rows.min(axis=1).sum() + pairs.min(axis=(1, 2)).sum())
+    high = int(rows.max(axis=1).sum() + pairs.max(axis=(1, 2)).sum())
+    if not -(1 << 63 - shift) <= low <= high < 1 << 63 - shift:
+        raise SpaceScaleError(f"values in [{low}, {high}] and {shift} state bits overflow a 64-bit key")
 
 
 def _grow_row(table: np.ndarray, tables: np.ndarray, k: int, low: int, digits: Iterable[int]) -> None:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,18 @@ class TestGenShow:
     def test_gen_writes_parseable_instance(self, instance_file):
         inst = parse_qaplib(instance_file.read_text())
         assert inst.size_n == 3
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gen_file_parses_to_correctly_rounded_entries(self, tmp_path, seed):
+        """Each entry is its token over its matrix's largest token, divided exactly and
+        rounded once (a float division of 0.6 by 0.8 gives 0.7499999999999999)."""
+        path = tmp_path / "inst.dat"
+        main(["gen", "--n", "5", "--seed", str(seed), "--out", str(path)])
+        tokens = [Fraction(tok) for tok in path.read_text().split()]
+        inst = parse_qaplib(path.read_text())
+        for mat, entries in ((inst.flow, tokens[1:26]), (inst.dist, tokens[26:])):
+            top = max(entries)
+            assert mat.ravel().tolist() == [float(v / top) for v in entries]
 
     def test_gen_deterministic(self, tmp_path):
         a, b = tmp_path / "a.dat", tmp_path / "b.dat"

@@ -564,7 +564,7 @@ class TestKeyDecode:
     def test_holds_only_the_key_buffer(self):
         space = SearchSpace(encode(random_instance(4, seed=33), "hubo-hw"))
         arrays = [v for v in vars(space).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 1 and arrays[0].dtype == np.uint64 and arrays[0].size == space.size
+        assert len(arrays) == 1 and arrays[0].dtype == np.int64 and arrays[0].size == space.size
         assert space.order is not space.order  # built on each access, not kept
 
 
@@ -618,12 +618,103 @@ class TestTwoRunIndex:
             space = sampler(form)
             space.draw(float(space.minimum()[1]) + 1.0, 1, 0.5, 0.5)
             space.levels  # kept on the instance once built
-            space_ref, keys_ref = weakref.ref(space), weakref.ref(space._keys.base)
+            space_ref, keys_ref = weakref.ref(space), weakref.ref(space._keys)
             del space
             assert space_ref() is None
             assert keys_ref() is None
         finally:
             gc.enable()
+
+
+def mixed_sign_form():
+    """A qubo-h formulation of three rows of six variables (2^18 states, more than
+    one build block) whose values are negative, zero and positive."""
+    terms = {
+        (): -7, (0,): -5, (1, 4): 3, (2, 7): -11, (8,): 13, (9, 15): -2,
+        (12,): Fraction(9, 2), (16, 17): -9, (5, 13): 6, (3, 10, 11): -1,
+    }
+    inst = QapInstance(3, np.zeros((3, 3)), np.zeros((3, 3)))
+    return Formulation(
+        FormulationKind.QUBO_HADAMARD, MultilinearPolynomial(18, terms), 18, 3, (1.0, 1.0), inst
+    )
+
+
+def key_width_form(coefficient, term):
+    """12 variables in two rows of six (12 state bits), valued coefficient * the
+    product of `term`'s variables: the keys reach coefficient * 2^12 plus the
+    largest state index."""
+    poly = MultilinearPolynomial(12, {term: coefficient})
+    inst = QapInstance(2, np.zeros((2, 2)), np.zeros((2, 2)))
+    return Formulation(FormulationKind.QUBO_HADAMARD, poly, 12, 2, (1.0, 1.0), inst)
+
+
+# A term within row 0, and one across rows 0 and 1, read from a row-pair table.
+KEY_WIDTH_TERMS = [(0,), (0, 6)]
+
+
+class TestFusedKeys:
+    """The keys the value tables write directly, sorted, equal one full sort of
+    packed (value, state) keys, signs and both part counts included."""
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize(
+        "make", [lambda: encode(random_instance(6, seed=4), "hubo-hw"),
+                 lambda: encode(random_instance(7, seed=4), "qubo-d"),
+                 lambda: encode(random_instance(4, seed=4), "qubo-h"),
+                 mixed_sign_form],
+        ids=["hubo-hw-6", "qubo-d-7", "qubo-h-4", "mixed-sign"],
+    )
+    def test_levels_and_counts_equal_one_full_sort(self, monkeypatch, cores, make):
+        usable_cores(monkeypatch, cores)
+        form = make()
+        space = SearchSpace(form)
+        order, values = full_sort_reference(form)
+        numerators = np.sort(objective_values(form))
+        starts = np.r_[0, np.flatnonzero(numerators[1:] != numerators[:-1]) + 1]
+        assert space.levels.starts.tolist() == starts.tolist()
+        assert space.levels.counts.tolist() == np.diff(starts, append=space.size).tolist()
+        assert space.levels.numerators.tolist() == numerators[starts].tolist()
+        rng = np.random.default_rng(cores)
+        thresholds = [*rng.uniform(values[0] - 1, values[-1] + 1, 200), *rng.choice(values, 50)]
+        for y in thresholds:
+            assert space.count_below(float(y)) == int(np.searchsorted(values, y, side="left"))
+        ranks = [*rng.integers(space.size, size=200).tolist(), space.size // 2 - 1, space.size // 2]
+        assert_draws_read_the_arrays(space, ranks, (order, values))
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_mixed_signs_run_as_parts(self, monkeypatch, cores):
+        usable_cores(monkeypatch, cores)
+        form = mixed_sign_form()
+        assert index_parts(form.space_size) == cores
+        space = SearchSpace(form)
+        assert objective_denominator(form) == 2
+        assert space.minimum()[1] < 0 < space.sorted_values[-1]
+        assert space.count_below(0.0) == int((objective_values(form) < 0).sum())
+        assert_counts_are_searchsorted(space)
+
+    @pytest.mark.parametrize("term", KEY_WIDTH_TERMS)
+    @pytest.mark.parametrize("extreme", [2**51 - 1, -(2**51)])
+    def test_extreme_keys_inside_the_width_are_admitted(self, extreme, term):
+        """At 12 state bits the keys hold values in [-2^51, 2^51): the last key is
+        2^63 - 1, or the first is -2^63."""
+        space = SearchSpace(key_width_form(extreme, term))
+        # The extreme index among the states that set every variable of the term.
+        state = 4095 if extreme > 0 else sum(1 << v for v in term)
+        rank = space.size - 1 if extreme > 0 else 0
+        assert space.order[rank] == state and space.sorted_values[rank] == extreme
+        below = space.size - (space.size >> len(term)) if extreme > 0 else 0
+        assert space.count_below(float(extreme)) == below
+
+    @pytest.mark.parametrize("term", KEY_WIDTH_TERMS)
+    @pytest.mark.parametrize("extreme", [2**51, -(2**51) - 1])
+    def test_keys_just_outside_the_width_are_refused(self, extreme, term):
+        form = key_width_form(extreme, term)
+        with pytest.raises(SpaceScaleError, match="64-bit key"):
+            SearchSpace(form)
+        with pytest.raises(SpaceScaleError, match="64-bit key"):
+            objective_values(form, shift=12)
+        mask = sum(1 << v for v in term)
+        assert objective_values(form).tolist() == [extreme * (s & mask == mask) for s in range(4096)]
 
 
 class TestRunGas:

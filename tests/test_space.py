@@ -15,6 +15,10 @@ from qapgas.polynomials import MultilinearPolynomial
 from qapgas.qap import QapInstance, dense_instance, generic_instance, random_instance
 from qapgas.samples import sample_instance
 from qapgas.space import (
+    EMULATION_SPACE_CAP,
+    _check_key_width,
+    _integer_terms,
+    _row_tables,
     dicke_rank_decoder,
     dicke_rank_to_bits,
     objective_denominator,
@@ -65,6 +69,23 @@ class TestObjectiveValues:
     def test_power_of_two_hubo_space_relabels_dicke_space_at_n8(self):
         inst = sample_instance(8)
         assert_same_values(encode_qubo_dicke(inst), encode_hubo_hw(inst))
+
+
+class TestKeyWidth:
+    @pytest.mark.parametrize("make", [random_instance, generic_instance, dense_instance])
+    def test_every_instance_within_the_cap_is_admitted(self, make):
+        """Every kind at N=2..8 and seeds 1..5 fits a 64-bit key by its row tables'
+        bounds alone, checked with no enumeration."""
+        admitted = 0
+        for n in range(2, 9):
+            for kind in FormulationKind:
+                for seed in range(1, 6):
+                    form = encode(make(n, seed=seed), kind)
+                    if form.space_size <= EMULATION_SPACE_CAP:
+                        tables = _row_tables(form, _integer_terms(form)[1])
+                        _check_key_width(tables, (form.space_size - 1).bit_length())
+                        admitted += 1
+        assert admitted == 5 * (4 + 7 + 7)  # qubo-h up to N=5, qubo-d and hubo-hw up to N=8
 
 
 class TestDickeEnumeration:
