@@ -428,7 +428,7 @@ class ExactEngine(SearchSpace):
         self.scale = float(self._den if scale is None else scale)
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"register scale {scale!r} must be positive and finite")
-        self.lo, self.hi = self._entry(0)[1], self._entry(self.size - 1)[1]
+        self.lo, self.hi = (n / self._den for n in self._range)
         span = self.scale * (self.hi - self.lo)
         self.width = width_for_range(-span, span)
         self._last_split = (math.nan, None)
