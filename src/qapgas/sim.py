@@ -10,12 +10,18 @@ register as it can be (see ``StateVector.apply_all``): a block that is
 exactly the builder's QFT or inverse QFT on two or more adjacent qubits as
 one in-place FFT along the register's axis, a run of real gates (h, x, ry,
 cry, cnot, swap) as one composed real matrix per window of at most four
-adjacent qubits, and a run of diagonal phase gates as one unit-modulus
-factor table built in place.  No kernel holds more than one state of
-temporary memory.  On a 2-core x86 host, prep plus one Grover step takes
-0.11-0.15 s at 20 qubits (hubo-hw, N=3, scale 100, 1,992 gates),
-1.4-1.7 s at 23 qubits (hubo-hw, N=4) and 3.3-3.4 s at 24 qubits (qubo-h,
-N=3).
+adjacent qubits, and a run of diagonal phase gates as unit-modulus factor
+tables of at most 2^16 entries, each multiplied into a slice of the state.
+Every kernel works on the state in place, at most 2^14 floats (128 KiB) at
+a time, and never rebinds ``amplitudes``: beside the state it holds one
+128 KiB buffer, a chunk's temporaries and a 1 MiB table, so a simulation
+needs one state of memory.  `StateVector.marginal` sums chunk by chunk;
+`StateVector.probabilities`, and with it `measure_all` and ``qap
+simulate``, still returns a half-state array of |amp|^2 by design.  On a
+2-core x86 host, prep plus one Grover step takes 0.10-0.14 s at 20 qubits
+(hubo-hw, N=3, scale 100, 1,992 gates), 0.50-0.64 s at 22 (qubo-d, N=3),
+1.1-1.2 s at 23 (hubo-hw, N=4), 2.5-2.7 s at 24 (qubo-h, N=3) and 5.0-5.3 s
+at 25 (qubo-d, N=4, scale 1), in a process that peaks at 549 MB.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ import math
 from bisect import bisect_left
 from functools import cache, reduce
 from itertools import groupby
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 
 import numpy as np
 
@@ -41,6 +47,18 @@ _REAL = frozenset({"h", "x", "ry", "cry", "cnot", "swap"})
 # windows of 4, 14-24 ms in windows of 3 and 19-27 ms in windows of 5 (2-core
 # x86 host, OpenBLAS).
 _WINDOW = 4
+
+# Every kernel walks the state in pieces of at most this many float64s
+# (128 KiB), and a window's product goes through one buffer of that size, so
+# no kernel holds more than a few pieces beside the state.  At 20 qubits a
+# GAS iteration's windows took 39-47 ms in pieces of 2^14, and 42-45 ms, with
+# outliers of 126 ms, in pieces of 2^15, where OpenBLAS threads each product
+# (2-core x86 host).
+_CHUNK = 1 << 14
+
+# A diagonal run's factor table covers at most this many free qubits (2^16
+# entries, 1 MiB); the free qubits above them select slices of the state.
+_TABLE_BITS = 16
 
 # Target matrices [[a, b], [c, d]] of the fixed real gates, as (a, b, c, d).
 _HALF = math.sqrt(0.5)
@@ -119,7 +137,8 @@ def _apply_real_gate(array: np.ndarray, num_qubits: int, gate: Gate, base: int =
     Row i has qubit base + j at bit j; each column (the real and imaginary
     parts of a state, or a window identity's basis vectors) is transformed
     alike.  The 2x2 target matrix mixes the target's halves where the
-    controls are 1; swap(a, b) is cnot(a, b), cnot(b, a), cnot(a, b).
+    controls are 1, piece by piece (`_pieces`), so no temporary exceeds
+    _CHUNK entries; swap(a, b) is cnot(a, b), cnot(b, a), cnot(a, b).
     """
     kind, qubits, angle = gate
     if kind == "swap":
@@ -137,16 +156,46 @@ def _apply_real_gate(array: np.ndarray, num_qubits: int, gate: Gate, base: int =
     index: list = [slice(None)] * num_qubits
     for q in qubits[:-1]:
         index[num_qubits - 1 - (q - base)] = 1
-    axis = num_qubits - 1 - (qubits[-1] - base)
-    index[axis] = 0
-    low = view[tuple(index)]
-    index[axis] = 1
-    high = view[tuple(index)]
-    new_low = low * a
-    new_low += high * b
-    high *= d
-    high += low * c
-    low[...] = new_low
+    # The controlled block, its target axis moved to the front: the
+    # target's axis in the view, less the control axes above it.
+    target = qubits[-1]
+    axis = num_qubits - 1 - (target - base) - sum(q > target for q in qubits[:-1])
+    block = view[tuple(index)]
+    block = block.transpose(axis, *range(axis), *range(axis + 1, block.ndim))
+    for low, high in _pieces(block, _CHUNK):
+        new_low = low * a
+        new_low += high * b
+        high *= d
+        high += low * c
+        low[...] = new_low
+
+
+def _pieces(block: np.ndarray, size: int):
+    """Views block[:, i_1, ..., i_j] over every index of a prefix of block's
+    later axes, the shortest prefix whose views hold at most `size` entries
+    (or all but the last axis)."""
+    j, tail = 1, block.size
+    while tail > size and j < block.ndim - 1:
+        tail //= block.shape[j]
+        j += 1
+    for index in np.ndindex(*block.shape[1:j]):
+        yield block[(slice(None), *index)]
+
+
+def _chunks(view: np.ndarray, size: int):
+    """Slices of `view`, shape (outer, mid, inner), of at most `size` entries
+    each: runs of whole outer rows where one fits, else runs of the inner
+    axis of one row."""
+    outer, mid, inner = view.shape
+    rows = size // (mid * inner)
+    if rows:
+        for r in range(0, outer, rows):
+            yield view[r : r + rows]
+    else:
+        step = size // mid
+        for r in range(outer):
+            for c in range(0, inner, step):
+                yield view[r : r + 1, :, c : c + step]
 
 
 def _axis_runs(num_qubits: int, key) -> list[list]:
@@ -218,7 +267,12 @@ class StateVector:
             )
         self.num_qubits = num_qubits
         if amplitudes is None:
-            self.amplitudes = np.zeros(1 << num_qubits, dtype=np.complex128)
+            # Written, not calloc'ed: the kernels read before they write, and
+            # a read of an untouched calloc'ed page maps the zero page, so
+            # each later write would fault a 4 KiB page (1.4-1.6 s at 25
+            # qubits, against 0.1-0.4 s to write the zeros).
+            self.amplitudes = np.empty(1 << num_qubits, dtype=np.complex128)
+            self.amplitudes.fill(0.0)
             self.amplitudes[0] = 1.0
         else:
             amplitudes = np.asarray(amplitudes, dtype=np.complex128)
@@ -229,7 +283,7 @@ class StateVector:
     # -- helpers -------------------------------------------------------------
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -266,29 +320,39 @@ class StateVector:
           matrix M.  On the state's float view, a window from qubit lo with
           top qubit at most 3 right-multiplies the (rows, 2^(top+2)) view
           by M^T (x) I; any other left-multiplies the (rows, 2^w, 2^(lo+1))
-          view by M.  A gate spanning more than four qubits is applied
-          alone, by `_apply_real_gate` on the state's float view.
+          view by M.  Either product goes chunk by chunk (`_chunks`) into
+          one buffer and is copied back.  A gate spanning more than four
+          qubits is applied alone, by `_apply_real_gate` on the state's
+          float view, piece by piece.
         * diagonal (z, phase, rz, cphase, crz): one phase polynomial over
           the run's support.  phase and cphase add a*prod(b), z adds pi*b,
           and rz and crz add a*prod(controls)*(b_t - 1/2).  Each term is a
-          seed e^{i a} at its mask, and entry i of the factor table is the
-          product of the seeds at i's subsets.  `_subset_products` builds
-          the table in place, split by split on its top index bit, so a
-          k-qubit phase ladder costs about 2^k contiguous multiplies and
-          copies rather than k*2^(k-1) strided multiplies.  The state is
-          multiplied once, broadcast over the other qubits.
-          The phase is 0 wherever a qubit that every term contains is 0, so
-          only the slice where all such qubits are 1 is multiplied.
+          seed e^{i a} at its mask, and each amplitude is multiplied by
+          the product of the seeds at its subsets.  The phase is 0 wherever
+          a qubit that every term contains is 0, so only the slice where
+          all such qubits are 1 is multiplied.  Of the other qubits in the
+          support, the lowest 16 are the table's and the rest are top
+          qubits.  The seeds are grouped by their top part p, and each
+          group's table over the low qubits, whose entry i is the product
+          of the group's seeds at i's subsets, multiplies the slice where
+          p's qubits are 1, broadcast over the others: entry (P, i) gets
+          the product over p within P of table_p(i).  `_subset_products`
+          builds a table in place, split by split on its top index bit, so
+          a k-qubit phase ladder costs about 2^k contiguous multiplies and
+          copies rather than k*2^(k-1) strided multiplies.  A ladder's
+          seeds carry at most one top (value) qubit each, so it multiplies
+          the whole state at most once, plus one half-state slice per top
+          qubit.
 
         The builders emit swaps only inside Fourier blocks, so the real
         kernel meets a swap only in a hand-written gate list.
 
-        Temporary memory stays within one state: a window's product writes
-        one new state, a diagonal table over every qubit is one state, a
-        wide gate holds two halves of its controlled block, at most half a
-        state, and an FFT writes into the state.
-        Kernels may replace ``amplitudes`` with a new array, so a reference
-        taken before the call can hold the old state.
+        Every kernel works on ``amplitudes`` in place and never rebinds it,
+        so a reference taken before the call holds the result.  Beside the
+        state a kernel holds at most one product buffer of 2^14 floats
+        (128 KiB), temporaries of one piece of at most that size, and a
+        factor table of at most 2^16 entries (1 MiB); an FFT writes into
+        the state.
 
         With ``validate`` every gate is applied as a run of one and the norm
         is checked after it.
@@ -334,22 +398,31 @@ class StateVector:
             self._apply_window(*window)
 
     def _apply_window(self, lo: int, hi: int, gates: list[Gate]) -> None:
-        """One product of the state with the composed matrix of `gates` on qubits lo..hi."""
+        """Multiply the composed matrix of `gates` on qubits lo..hi into the
+        state, one chunk at a time through one buffer."""
         width = hi - lo + 1
         matrix = np.eye(1 << width)
         for gate in gates:
             _apply_real_gate(matrix, width, gate, lo)
-        # Below qubit 4 the left product would be many tiny matrix products;
-        # one product with a small Kronecker matrix is faster.  No view of
-        # the old state outlives its product, so the old state is freed as
-        # soon as ``amplitudes`` is rebound.
         floats = self.amplitudes.view(np.float64)
+        # Below qubit 4 the left product would be many tiny matrix products;
+        # one product with a small Kronecker matrix is faster.
         if hi <= 3:
-            new = floats.reshape(-1, 2 << (hi + 1)) @ np.kron(matrix.T, np.eye(2 << lo))
+            kron = np.kron(matrix.T, np.eye(2 << lo))
+            view = floats.reshape(-1, 1, len(kron))
+
+            def product(chunk, out):
+                np.matmul(chunk[:, 0], kron, out=out[:, 0])
         else:
-            new = matrix @ floats.reshape(-1, 1 << width, 2 << lo)
-        del floats
-        self.amplitudes = new.view(np.complex128).reshape(-1)
+            view = floats.reshape(-1, 1 << width, 2 << lo)
+
+            def product(chunk, out):
+                np.matmul(matrix, chunk, out=out)
+        buffer = np.empty(min(_CHUNK, floats.size))
+        for chunk in _chunks(view, buffer.size):
+            out = buffer[: chunk.size].reshape(chunk.shape)
+            product(chunk, out)
+            chunk[...] = out
 
     def _apply_phases(self, run: tuple[Gate, ...]) -> None:
         terms: dict[int, float] = {}
@@ -370,21 +443,34 @@ class StateVector:
         common = reduce(and_, terms)
         support = reduce(or_, terms) & ~common
         free = [q for q in range(self.num_qubits) if support >> q & 1]
-        # Table index i has bit j set when qubit free[j] is 1.
+        low = free[:_TABLE_BITS]
+        lows = reduce(or_, (1 << q for q in low), 0)
+        # Table index i has bit j set when qubit low[j] is 1.
         masks = np.fromiter(terms, dtype=np.int64, count=len(terms))
         index = np.zeros_like(masks)
-        for j, q in enumerate(free):
+        for j, q in enumerate(low):
             index |= (masks >> q & 1) << j
         seeds = np.exp(1j * np.fromiter(terms.values(), dtype=np.float64, count=len(terms)))
-        factor = _subset_products(index.tolist(), seeds.tolist(), len(free))
-        # The table's axes follow the free qubits from the top, like the
-        # state's; adjacent qubits of one kind share an axis.
-        axes = _axis_runs(
-            self.num_qubits, lambda q: "free" if support >> q & 1 else "one" if common >> q & 1 else "out"
-        )
-        view = self.amplitudes.reshape([size for _, size in axes])
-        block = view[tuple(slice(size - 1, None) if key == "one" else slice(None) for key, size in axes)]
-        block *= factor.reshape([size if key == "free" else 1 for key, size in axes])
+        # The top qubits lie above the low ones, so the masks, ascending,
+        # come in runs of one top part p, each ascending in its table index.
+        # Run p's table multiplies the slice where p's qubits are 1, so
+        # entry (P, i) gets the product over p within P of table_p(i): the
+        # product of the seeds at its subsets.
+        tops = (masks & (support & ~lows)).tolist()
+        for part, run in groupby(zip(tops, index.tolist(), seeds.tolist()), key=itemgetter(0)):
+            _, run_index, run_seeds = zip(*run)
+            ones = common | part
+            # The table's axes follow the low qubits from the top, like the
+            # state's; adjacent qubits of one kind share an axis.
+            axes = _axis_runs(
+                self.num_qubits, lambda q: "low" if lows >> q & 1 else "one" if ones >> q & 1 else "out"
+            )
+            view = self.amplitudes.reshape([size for _, size in axes])
+            block = view[tuple(slice(size - 1, None) if key == "one" else slice(None) for key, size in axes)]
+            # One table at a time: it is freed when the multiply ends.
+            block *= _subset_products(list(run_index), list(run_seeds), len(low)).reshape(
+                [size if key == "low" else 1 for key, size in axes]
+            )
 
     def _apply_fourier(self, run: tuple[Gate, ...]) -> None:
         # The QFT maps |x> to 2^(-m/2) sum_y e^{+2 pi i xy / 2^m} |y> on the
@@ -425,15 +511,31 @@ class StateVector:
             if q in seen:
                 raise ValueError(f"qubit {q} listed twice")
             seen.add(q)
-        probs = self.probabilities().reshape([2] * self.num_qubits)
-        axes_keep = [self.num_qubits - 1 - q for q in qubits]
-        drop = tuple(ax for ax in range(self.num_qubits) if ax not in axes_keep)
-        marg = probs.sum(axis=drop) if drop else probs
-        # Surviving axes sit in ascending order; put qubits[0] at the last
-        # (least significant) axis of the flattened result.
-        current = sorted(axes_keep)
-        desired = [self.num_qubits - 1 - q for q in reversed(qubits)]
-        marg = np.transpose(marg, [current.index(ax) for ax in desired])
+        # Rows of 2^local amplitudes, summed one at a time: each row's squared
+        # floats over its dropped qubits add into the accumulator row that its
+        # kept qubits above the row select.  The real and imaginary parts are
+        # added last, once.
+        kept = sorted(qubits)
+        local = min(self.num_qubits, _CHUNK.bit_length() - 2)
+        axes = _axis_runs(local, lambda q: q in seen)
+        shape = [size for _, size in axes] + [2]
+        drop = tuple(i for i, (keep, _) in enumerate(axes) if not keep)
+        above = [q - local for q in kept if q >= local]
+        rows = self.amplitudes.view(np.float64).reshape(-1, 2 << local)
+        numbers = np.arange(len(rows))
+        targets = np.zeros_like(numbers)
+        for j, q in enumerate(above):
+            targets |= (numbers >> q & 1) << j
+        acc = np.zeros((1 << len(above), 2 << (len(kept) - len(above))))
+        squares = np.empty(rows.shape[1])
+        for row, target in zip(rows, targets.tolist()):
+            np.square(row, out=squares)
+            acc[target] += squares.reshape(shape).sum(axis=drop).reshape(-1)
+        acc = acc.reshape(-1, 2).sum(axis=1)
+        # acc's axes are the kept qubits, top first; put qubits[0] at the
+        # last (least significant) axis of the flattened result.
+        axis = {q: len(kept) - 1 - i for i, q in enumerate(kept)}
+        marg = np.transpose(acc.reshape([2] * len(kept)), [axis[q] for q in reversed(qubits)])
         return np.ascontiguousarray(marg).reshape(-1)
 
 
