@@ -8,14 +8,15 @@ re-evaluating each measured sample classically and lowering the threshold on
 improvement.
 
 Two interchangeable backends produce the per-iteration samples, and both
-stand on one index.  The search space is enumerated once as int64
+stand on one index (SearchSpace).  The search space is enumerated as int64
 (value, state) keys, each state's exact value at the objective's common
 denominator above its index, written straight from the same per-row and
-row-pair tables for every kind (space.objective_values), and the keys are
-sorted in place: as one run, or as two halves sorted at the same time on
-two threads where two cores are usable.  The sorted keys are the index
-(SearchSpace): each draw finds the key of its rank in the runs' merged
-order and decodes its state's bitmask and value from it.
+row-pair tables for every kind (space.objective_values), and sorted.  A
+space of at most space.INDEX_PIECE states keeps its sorted keys, and a draw
+decodes its state's bitmask and value from the key of its rank.  A larger
+space is enumerated and sorted piece by piece, on index_parts threads, and
+keeps only an int32 state index per state with a level table: a draw finds
+its rank's value level, then the piece that holds it, then its state.
 
 * ``emulated`` -- classical amplification model: a sample is marked
   (objective strictly below the threshold) with the exact Grover probability
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -60,11 +62,12 @@ from .circuits import width_for_range
 from .encodings import Formulation, FormulationKind
 from .space import (
     EMULATION_SPACE_CAP,
-    INDEX_BLOCK,
     SpaceScaleError,
     dicke_rank_decoder,
     dicke_rank_to_bits,
     index_parts,
+    index_pieces,
+    lower_rows,
     objective_denominator,
     objective_values,
     run_parts,
@@ -109,33 +112,25 @@ class LevelTable(NamedTuple):
     numerators: np.ndarray
 
 
-def _pieces(size: int) -> list[slice]:
-    """The index_parts(size) pieces that each O(size) pass over a size-entry buffer runs as."""
-    parts = index_parts(size)
-    cuts = [size * part // parts for part in range(parts + 1)]
-    return [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
+# _runs compares neighbours this many at a time, so its flags never span a whole piece.
+_SCAN_BLOCK = 1 << 16
 
 
-def _each_block(size: int, task: Callable[[slice], object]) -> None:
-    """task(rows) on every block of INDEX_BLOCK / parts entries of a size-entry buffer,
-    each piece's blocks in order, the pieces at the same time (run_parts)."""
-    pieces = _pieces(size)
-    step = INDEX_BLOCK // len(pieces)
-
-    def run(part: int) -> None:
-        piece = pieces[part]
-        for start in range(piece.start, piece.stop, step):
-            task(slice(start, min(start + step, piece.stop)))
-
-    run_parts(run, len(pieces))
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal entries of a sorted array (int64 starts)."""
+    starts = [np.zeros(1, dtype=np.int64)]
+    for start in range(1, ordered.size, _SCAN_BLOCK):
+        stop = min(start + _SCAN_BLOCK, ordered.size)
+        starts.append(np.flatnonzero(ordered[start:stop] != ordered[start - 1 : stop - 1]) + start)
+    starts = np.concatenate(starts)
+    return starts, np.diff(starts, append=ordered.size)
 
 
 def _key_decoder(
-    view: memoryview | _MergedRuns, shift: int, den: int, to_bits: Callable[[int], int] | None
+    view: memoryview, shift: int, den: int, to_bits: Callable[[int], int] | None
 ) -> Callable[[int], tuple[int, float]]:
     """entry(rank): the (bitmask, value) of view[rank], the rank-th sorted key.
 
-    view is the memoryview of one sorted run, or the _MergedRuns of two.
     The state is key & mask, mapped by to_bits where the state is a Dicke
     rank; the value is (key >> shift) / den, an int over int division
     that rounds once, so it is np.divide's float of the int64 numerator bit
@@ -156,117 +151,137 @@ def _key_decoder(
     return entry
 
 
-class _MergedRuns:
-    """Two sorted runs of unique keys, read by rank as their merged order.
+def _level_reader(
+    states: np.ndarray,
+    levels: LevelTable,
+    within: np.ndarray,
+    base: np.ndarray,
+    den: int,
+    to_bits: Callable[[int], int] | None,
+) -> tuple[Callable[[int], tuple[int, float]], Callable[[int, int], tuple[int, float]]]:
+    """entry(rank) and at(level, offset): the (bitmask, value) of a piece index's rank.
 
-    self[rank] is the rank-th smallest key of both runs, found by a binary
-    search over how many of the rank smallest come from the first run.  Both
-    runs are read through memoryviews, as Python ints.
+    A rank's level is a bisect over the level starts.  Its piece is the first
+    whose within-level cumulative count (a row of `within`) exceeds the offset
+    within the level, and its state is states[base[level, piece] + offset];
+    the value is the level's numerator / den, rounded once as in
+    _key_decoder.  Every array is read through a memoryview, as Python ints,
+    and the closures never hold the SearchSpace.
     """
+    pieces = within.shape[1]
+    starts, numerators = memoryview(levels.starts), memoryview(levels.numerators)
+    states, within, base = memoryview(states), memoryview(within.reshape(-1)), memoryview(base.reshape(-1))
 
-    __slots__ = ("first", "second")
+    def at(level: int, offset: int) -> tuple[int, float]:
+        row = level * pieces
+        state = states[base[bisect_right(within, offset, row, row + pieces)] + offset]
+        return state if to_bits is None else to_bits(state), numerators[level] / den
 
-    def __init__(self, first: np.ndarray, second: np.ndarray):
-        self.first, self.second = memoryview(first), memoryview(second)
+    def entry(rank: int) -> tuple[int, float]:
+        level = bisect_right(starts, rank) - 1
+        return at(level, rank - starts[level])
 
-    def split(self, rank: int) -> int:
-        """How many of the `rank` smallest keys (0 <= rank <= both lengths) lie in the first run."""
-        first, second = self.first, self.second
-        low = rank - len(second) if rank > len(second) else 0
-        high = rank if rank < len(first) else len(first)
-        # The count is the least i at which first[i] follows second[rank - 1 - i],
-        # the second run's (rank - i)-th key; the test turns true once and stays
-        # true as i grows.
-        last = rank - 1
-        while low < high:
-            mid = (low + high) >> 1
-            if first[mid] > second[last - mid]:
-                high = mid
-            else:
-                low = mid + 1
-        return low
-
-    def __getitem__(self, rank: int) -> int:
-        i = self.split(rank)
-        j = rank - i
-        first, second = self.first, self.second
-        if j == len(second) or (i < len(first) and first[i] < second[j]):
-            return first[i]
-        return second[j]
+    return entry, at
 
 
 class SearchSpace:
-    """Enumerated objective values over a formulation's search space, as one sorted key buffer.
+    """Enumerated objective values over a formulation's search space, as a sorted index.
 
-    The build enumerates keys, then sorts them.  objective_values(form, shift)
-    writes each state's int64 key n * 2^shift + state straight from the row
-    tables, with n the state's exact numerator at objective_denominator and
-    2^shift above every state index; the index is those keys sorted in place.
-    The keys are unique, so their sorted order is the (value, state) order:
-    equal values are bit-equal floats, ties keep state-index order, and the
-    order is the same on every host.  A draw reads the key of its rank and
-    decodes it: the state is key & mask (on the Dicke space a support rank,
-    mapped to its bitmask by dicke_rank_decoder) and the value
-    (key >> shift) / den.  A threshold count is one binary search of a key
-    bound per run, and class-uniform sampling is one lookup.  ``order`` and
-    ``sorted_values``, every sorted state's bitmask and value, are unpacked
-    from the keys on each access and not kept; ``levels``, the LevelTable of
-    the values, is built on first access and kept.
+    objective_values(form, shift) writes each state's int64 key
+    n * 2^shift + state straight from the row tables, with n the state's
+    exact numerator at objective_denominator and 2^shift above every state
+    index.  The keys are unique, so their sorted order is the (value, state)
+    order: equal values are bit-equal floats, ties keep state-index order,
+    and the order is the same on every host and for every thread count.
+    ``order`` and ``sorted_values``, every sorted state's bitmask and value,
+    are built on each access and not kept; ``levels``, the LevelTable of the
+    values, is kept once built.  What the index holds depends only on the
+    space's size (index_pieces):
 
-    Split: each O(size) pass of the build (the last row of objective_values,
-    the sort) and of the arrays built on access runs as two parts, one in
-    the caller and one on a thread, when index_parts says so; otherwise as
-    one part, with no thread, and the buffer is one sorted run.  Two parts
-    each sort their own contiguous half of the buffer in place, at the same
-    time, and leave two sorted runs.  Every state of the first run is below
-    every state of the second, so each value level lists the first run's
-    states and then the second's; the merged order is that of one full sort.
-    A rank is read through _MergedRuns, a count sums one binary search per
-    run, and ``levels``, ``order`` and ``sorted_values`` merge the runs on
-    access.
-
-    Memory: an instance holds one O(size) array, the key buffer (8 bytes
-    per state; it is the buffer objective_values returns), and views of it.
-    ``order`` (4 bytes per state, 8 above 31 variables) and
-    ``sorted_values`` (8) are new arrays on every access, filled block by
-    block, each block merged from the runs into a block-sized buffer.
+    * At most INDEX_PIECE states: the keys themselves, sorted in place
+      (8 bytes per state).  A draw reads the key of its rank and decodes
+      it: the state is key & mask (on the Dicke space a support rank,
+      mapped to its bitmask by dicke_rank_decoder) and the value
+      (key >> shift) / den.  A threshold count is one binary search of a
+      key bound; ``levels`` is scanned from the keys on first access.
+    * More: the int32 state index of every state (4 bytes per state), one
+      segment per piece.  Each piece's keys are enumerated into a scratch
+      buffer, one per build thread (index_parts), and sorted there; their
+      states are written to the piece's segment, and their runs of equal
+      numerators give the piece's levels.  The per-piece tables merge into
+      ``levels`` and two int32 (level x piece) tables: each level's
+      cumulative count over the pieces, and where its states start in
+      each piece's segment.  Every state of a piece is below every state of
+      the next, so a level lists the states of each piece in piece order.
+      A draw finds its rank's level, then its piece (_level_reader); a
+      threshold count is one binary search of the level numerators.
     """
 
     def __init__(self, form: Formulation):
         self.form = form
         self.size = size = form.space_size
         self._shift = shift = (size - 1).bit_length()
-        self._keys = keys = objective_values(form, shift=shift)
         self._den = den = objective_denominator(form)
-        # Each part sorts its own piece: the buffer holds one sorted run per part.
-        self._runs = runs = tuple(keys[piece] for piece in _pieces(size))
-        run_parts(lambda part: runs[part].sort(), len(runs))
-        # The smallest and largest numerators, off the runs' first and last keys.
-        self._range = (min(int(r[0]) for r in runs) >> shift, max(int(r[-1]) for r in runs) >> shift)
+        self._pieces = pieces = index_pieces(form)
         to_bits = dicke_rank_decoder(form.size_n) if form.kind is FormulationKind.QUBO_DICKE else None
-        view = memoryview(keys) if len(runs) == 1 else _MergedRuns(*runs)
-        self._entry = _key_decoder(view, shift, den, to_bits)
+        self._keys = self._states = self._within = self._base = None
+        self._level_entry: Callable[[int, int], tuple[int, float]] | None = None
+        if len(pieces) == 1:
+            self._keys = keys = objective_values(form, shift=shift)
+            keys.sort()
+            self._range = (int(keys[0]) >> shift, int(keys[-1]) >> shift)
+            self._entry = _key_decoder(memoryview(keys), shift, den, to_bits)
+        else:
+            levels = self._build_pieces()
+            self._range = (int(levels.numerators[0]), int(levels.numerators[-1]))
+            self._entry, self._level_entry = _level_reader(
+                self._states, levels, self._within, self._base, den, to_bits
+            )
         self._last_count = (math.nan, 0, 0.0)
 
-    def _each_sorted_block(self, task: Callable[[slice, np.ndarray], object]) -> None:
-        """task(rows, keys) on every block of ranks (_each_block), with keys the sorted
-        keys at those ranks: a view of the one run, or a block merged from the two."""
-        keys, runs = self._keys, self._runs
-        if len(runs) == 1:
-            _each_block(self.size, lambda rows: task(rows, keys[rows]))
-            return
-        first, second = runs
-        split = _MergedRuns(first, second).split
+    def _build_pieces(self) -> LevelTable:
+        """Build a piece index: the state segments, ``levels`` and the (level x piece) tables."""
+        form, pieces, shift = self.form, self._pieces, self._shift
+        mask = (1 << shift) - 1
+        self._states = states = np.empty(self.size, dtype=np.int32)
+        found: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(pieces)
+        parts = index_parts(self.size)
+        lower = lower_rows(form, shift)
 
-        def merge(rows: slice) -> None:
-            # The ranks' keys are a contiguous stretch of each run, sorted
-            # together (a stable sort merges the two sorted stretches).
-            i, j = split(rows.start), split(rows.stop)
-            block = np.concatenate((first[i:j], second[rows.start - i : rows.stop - j]))
-            block.sort(kind="stable")
-            task(rows, block)
+        def build(part: int) -> None:
+            scratch = np.empty(len(pieces[0]), dtype=np.int64)
+            for i in range(part, len(pieces), parts):
+                piece = pieces[i]
+                keys = objective_values(form, shift, piece, scratch, lower)
+                keys.sort()
+                np.bitwise_and(keys, mask, out=states[piece.start : piece.stop], casting="unsafe")
+                np.right_shift(keys, shift, out=keys)
+                starts, counts = _runs(keys)
+                found[i] = (keys[starts], counts.astype(np.int32))
 
-        _each_block(self.size, merge)
+        run_parts(build, parts)
+        # Each piece's numerators are sorted, so a stable sort of them all merges the runs.
+        numerators = np.concatenate([piece_numerators for piece_numerators, _ in found])
+        numerators.sort(kind="stable")
+        numerators = numerators[_runs(numerators)[0]]
+        # Worked piece by piece (rows), then transposed, so each level's row is contiguous.
+        counts = np.zeros((len(pieces), numerators.size), dtype=np.int32)
+        for row, (piece_numerators, piece_counts) in zip(counts, found):
+            row[numerators.searchsorted(piece_numerators)] = piece_counts
+        del found
+        level_counts = counts.sum(axis=0, dtype=np.int64)
+        # A level's states in piece i start, in the held array, after the piece's states of
+        # every level below it: base + offset within the level, once the offsets that the
+        # pieces before i take in this level (within's exclusive count) are taken off.
+        base = np.cumsum(counts, axis=1, dtype=np.int32)
+        base += np.array([[piece.start] for piece in pieces], dtype=np.int32)
+        for i in range(1, len(pieces)):
+            counts[i] += counts[i - 1]
+        base -= counts
+        self._within, self._base = counts.T.copy(), base.T.copy()
+        levels = LevelTable(np.cumsum(level_counts) - level_counts, level_counts, numerators)
+        self.__dict__["levels"] = levels
+        return levels
 
     @property
     def order(self) -> np.ndarray:
@@ -276,56 +291,38 @@ class SearchSpace:
         """
         form = self.form
         order = np.empty(self.size, dtype=np.uint64 if form.num_vars > 31 else np.int32)
-        mask = (1 << self._shift) - 1
-
-        def fill(rows: slice, keys: np.ndarray) -> None:
-            np.bitwise_and(keys, mask, out=order[rows], casting="unsafe")
-            if form.kind is FormulationKind.QUBO_DICKE:
-                order[rows] = dicke_rank_to_bits(form, order[rows])
-
-        self._each_sorted_block(fill)
+        dicke = form.kind is FormulationKind.QUBO_DICKE
+        if self._keys is not None:
+            np.bitwise_and(self._keys, (1 << self._shift) - 1, out=order, casting="unsafe")
+            if dicke:
+                order[...] = dicke_rank_to_bits(form, order)
+            return order
+        # A state at held position h, in level l and piece i, has rank h - base[l, i] + starts[l].
+        starts, within, base = self.levels.starts, self._within, self._base
+        for i, piece in enumerate(self._pieces):
+            counts = within[:, i] - within[:, i - 1] if i else within[:, 0]
+            cells = np.flatnonzero(counts)
+            ranks = np.repeat(starts[cells] - base[cells, i], counts[cells])
+            ranks += np.arange(piece.start, piece.stop)
+            states = self._states[piece.start : piece.stop]
+            order[ranks] = dicke_rank_to_bits(form, states) if dicke else states
         return order
 
     @property
     def sorted_values(self) -> np.ndarray:
         """Value of each sorted state (float64, ascending), built on each access."""
-        shift, den = self._shift, self._den
-        values = np.empty(self.size)
-
-        def fill(rows: slice, keys: np.ndarray) -> None:
-            np.divide(keys >> shift, den, out=values[rows])
-
-        self._each_sorted_block(fill)
-        return values
+        _, counts, numerators = self.levels
+        return np.repeat(numerators / self._den, counts)
 
     @cached_property
     def levels(self) -> LevelTable:
         """The LevelTable of the sorted values, read off the keys' exact numerators (int64).
 
-        Each run's levels start where key >> shift differs from the key before
-        it in the run; two runs' tables merge by numerator.
+        A piece index builds it with the index; sorted keys are scanned on first access.
         """
-        keys, shift = self._keys, self._shift
-        found: dict[int, np.ndarray] = {}
-
-        def scan(rows: slice) -> None:
-            before = max(rows.start - 1, 0)
-            level = keys[before : rows.stop] >> shift
-            found[rows.start] = np.flatnonzero(level[1:] != level[:-1]) + (before + 1)
-
-        _each_block(self.size, scan)
-        # Every run starts a level, whatever the key before it in the buffer.
-        run_starts = np.cumsum([0, *(run.size for run in self._runs[:-1])])
-        starts = np.union1d(np.concatenate([*found.values()]), run_starts)
-        numerators = keys[starts] >> shift
-        counts = np.diff(starts, append=self.size)
-        if len(self._runs) > 1:
-            # A value's level holds its states of both runs, in run order.
-            numerators, where = np.unique(numerators, return_inverse=True)
-            counts, by_run = np.zeros(numerators.size, dtype=np.int64), counts
-            np.add.at(counts, where, by_run)
-            starts = np.cumsum(counts) - counts
-        return LevelTable(starts, counts, numerators)
+        numerators = self._keys >> self._shift
+        starts, counts = _runs(numerators)
+        return LevelTable(starts, counts, numerators[starts])
 
     def count_below(self, threshold: float) -> int:
         """Number of states whose value is strictly below `threshold` (all of them at NaN,
@@ -342,8 +339,10 @@ class SearchSpace:
             n += 1
         while (n - 1) / den >= threshold:
             n -= 1
-        bound = np.int64(n << self._shift)
-        return sum(int(run.searchsorted(bound)) for run in self._runs)
+        if self._keys is not None:
+            return int(self._keys.searchsorted(np.int64(n << self._shift)))
+        starts, _, numerators = self.levels
+        return int(starts[numerators.searchsorted(n)])
 
     def _recount(self, threshold: float) -> tuple[int, float]:
         """Marked count t and Grover angle at `threshold`, kept with it in _last_count.
@@ -570,7 +569,10 @@ class ExactEngine(SearchSpace):
         # At weights 0 and 1 the masses are integer counts, so this is exact.
         offset = int((target - masses[level]) / parts[branch, level])
         starts, counts, _ = self.levels
-        return self._entry(int(starts[level]) + min(offset, int(counts[level]) - 1))
+        offset = min(offset, int(counts[level]) - 1)
+        if self._level_entry is not None:
+            return self._level_entry(level, offset)
+        return self._entry(int(starts[level]) + offset)
 
     def sample_many(
         self, threshold: float, rotations: int, shots: int, rng: np.random.Generator

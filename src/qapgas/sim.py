@@ -173,7 +173,10 @@ def _apply_real_gate(array: np.ndarray, num_qubits: int, gate: Gate, base: int =
 def _pieces(block: np.ndarray, size: int):
     """Views block[:, i_1, ..., i_j] over every index of a prefix of block's
     later axes, the shortest prefix whose views hold at most `size` entries
-    (or all but the last axis)."""
+    (or all but the last axis); a block of at most `size` entries is one piece."""
+    if block.size <= size:
+        yield block
+        return
     j, tail = 1, block.size
     while tail > size and j < block.ndim - 1:
         tail //= block.shape[j]
@@ -185,7 +188,10 @@ def _pieces(block: np.ndarray, size: int):
 def _chunks(view: np.ndarray, size: int):
     """Slices of `view`, shape (outer, mid, inner), of at most `size` entries
     each: runs of whole outer rows where one fits, else runs of the inner
-    axis of one row."""
+    axis of one row; a view of at most `size` entries is one chunk."""
+    if view.size <= size:
+        yield view
+        return
     outer, mid, inner = view.shape
     rows = size // (mid * inner)
     if rows:
@@ -513,24 +519,28 @@ class StateVector:
             seen.add(q)
         # Rows of 2^local amplitudes, summed one at a time: each row's squared
         # floats over its dropped qubits add into the accumulator row that its
-        # kept qubits above the row select.  The real and imaginary parts are
-        # added last, once.
+        # kept qubits above the row select.  A state of one row is summed
+        # directly.  The real and imaginary parts are added last, once.
         kept = sorted(qubits)
         local = min(self.num_qubits, _CHUNK.bit_length() - 2)
         axes = _axis_runs(local, lambda q: q in seen)
         shape = [size for _, size in axes] + [2]
         drop = tuple(i for i, (keep, _) in enumerate(axes) if not keep)
-        above = [q - local for q in kept if q >= local]
-        rows = self.amplitudes.view(np.float64).reshape(-1, 2 << local)
-        numbers = np.arange(len(rows))
-        targets = np.zeros_like(numbers)
-        for j, q in enumerate(above):
-            targets |= (numbers >> q & 1) << j
-        acc = np.zeros((1 << len(above), 2 << (len(kept) - len(above))))
-        squares = np.empty(rows.shape[1])
-        for row, target in zip(rows, targets.tolist()):
-            np.square(row, out=squares)
-            acc[target] += squares.reshape(shape).sum(axis=drop).reshape(-1)
+        floats = self.amplitudes.view(np.float64)
+        if local == self.num_qubits:
+            acc = np.square(floats).reshape(shape).sum(axis=drop)
+        else:
+            above = [q - local for q in kept if q >= local]
+            rows = floats.reshape(-1, 2 << local)
+            numbers = np.arange(len(rows))
+            targets = np.zeros_like(numbers)
+            for j, q in enumerate(above):
+                targets |= (numbers >> q & 1) << j
+            acc = np.zeros((1 << len(above), 2 << (len(kept) - len(above))))
+            squares = np.empty(rows.shape[1])
+            for row, target in zip(rows, targets.tolist()):
+                np.square(row, out=squares)
+                acc[target] += squares.reshape(shape).sum(axis=drop).reshape(-1)
         acc = acc.reshape(-1, 2).sum(axis=1)
         # acc's axes are the kept qubits, top first; put qubits[0] at the
         # last (least significant) axis of the flattened result.

@@ -4,10 +4,11 @@ A formulation's space is the support of its initial superposition: every
 bitmask of the hypercube kinds (qubo-h, hubo-hw), the N^N row-wise
 assignments of the Dicke-initialized kind (qubo-d).  objective_values lists
 every state's exact int64 numerator over objective_denominator, or its int64
-sort key, for all three kinds from the same per-row and row-pair tables;
-dicke_rank_to_bits maps Dicke ranks to bitmasks (dicke_rank_decoder one
-rank at a time), and value_bounds bounds the values.  The cap, and the part
-helpers that run an O(size) pass as two halves on two cores, are shared with
+sort key, for all three kinds from the same per-row and row-pair tables, for
+the whole space or for one piece of it (index_pieces); dicke_rank_to_bits
+maps Dicke ranks to bitmasks (dicke_rank_decoder one rank at a time), and
+value_bounds bounds the values.  The cap, the pieces and the part helpers
+that run an O(size) pass on index_parts threads are shared with
 SearchSpace's index build in gas, which enumerates the keys and sorts them.
 """
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Callable, Iterable, Sequence
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -68,17 +69,21 @@ def _integer_terms(form: Formulation) -> tuple[int, list[int]]:
     return den, numerators
 
 
-# Entries per block of SearchSpace's block-wise build passes; a space of at most one block
-# is built in one part (index_parts).
+# A space of at most this many states runs each O(size) pass in one part (index_parts).
 INDEX_BLOCK = 1 << 16
+
+# States per piece of a SearchSpace index: a space of more is enumerated and sorted
+# piece by piece (index_pieces).  Two threads' int64 scratch pieces (16 MiB each) fit
+# beside a 2^25-state index, and the per-piece level tables stay small.
+INDEX_PIECE = 1 << 21
 
 
 def index_parts(size: int) -> int:
     """Parts (1 or 2) that each O(size) pass of an index build over `size` states runs as.
 
     Two when the space spans more than one INDEX_BLOCK and this process may run
-    on at least two cores; otherwise one, with no thread.  A SearchSpace index
-    holds one sorted run of keys per part.
+    on at least two cores; otherwise one, with no thread.  The parts share the
+    work; the index they build is the same for either count.
     """
     if size <= INDEX_BLOCK:
         return 1
@@ -87,6 +92,30 @@ def index_parts(size: int) -> int:
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
     return 2 if cores >= 2 else 1
+
+
+def index_pieces(form: Formulation) -> list[range]:
+    """The state-index ranges a SearchSpace of `form` is built in, in order.
+
+    One range, the whole space, when it holds at most INDEX_PIECE states.
+    Otherwise runs of whole last-row digit blocks (R^(n-1) states each, the
+    most significant digit of objective_values' index), as many per piece as
+    fit in INDEX_PIECE and at least one; the last piece may hold fewer.
+    Raises SpaceScaleError when the space exceeds EMULATION_SPACE_CAP.
+    """
+    size = form.space_size
+    if size > EMULATION_SPACE_CAP:
+        raise SpaceScaleError(f"space of {size} states exceeds the cap {EMULATION_SPACE_CAP}")
+    if size <= INDEX_PIECE:
+        return [range(size)]
+    block = size // _radix(form)
+    step = max(INDEX_PIECE // block, 1) * block
+    return [range(start, min(start + step, size)) for start in range(0, size, step)]
+
+
+def _radix(form: Formulation) -> int:
+    """R, the number of values of a row's digit (row_digit_bits)."""
+    return form.size_n if form.kind is FormulationKind.QUBO_DICKE else 1 << form.row_width
 
 
 def run_parts(task: Callable[[int], object], parts: int) -> None:
@@ -122,7 +151,13 @@ def run_parts(task: Callable[[int], object], parts: int) -> None:
 _FOLD_BLOCK = 4096
 
 
-def objective_values(form: Formulation, shift: int = 0) -> np.ndarray:
+def objective_values(
+    form: Formulation,
+    shift: int = 0,
+    piece: range | None = None,
+    out: np.ndarray | None = None,
+    lower: np.ndarray | None = None,
+) -> np.ndarray:
     """int64 numerators of the objective on every state, over objective_denominator(form).
 
     Row i of a state has a digit d_i in [0, R): its local bit pattern on the
@@ -154,7 +189,52 @@ def objective_values(form: Formulation, shift: int = 0) -> np.ndarray:
     d_i * R^i.  SpaceScaleError is raised, before enumerating, unless the
     sums of the tables' minima and maxima keep every key in int64 (partial
     sums may wrap: int64 adds are exact modulo 2^64).
+
+    With `piece`, a range of whole last-row digit blocks (index_pieces), only
+    the entries of states piece.start .. piece.stop - 1 are returned, and the
+    last row grows the piece's digits in one part.  With `out`, an int64
+    buffer of at least len(piece) (or size) entries, the table is written
+    into its first entries and that view is returned.  With `lower`, the
+    table of the rows below the last at this shift (lower_rows), those rows
+    are not grown again: the pieces of one space share them.
     """
+    tables, folded = _key_tables(form, shift)
+    size, radix = form.space_size, tables.shape[2]
+    block = size // radix
+    piece = range(size) if piece is None else piece
+    if piece.step != 1 or not 0 <= piece.start < piece.stop <= size or piece.start % block or piece.stop % block:
+        raise ValueError(f"{piece} is not a run of whole blocks of {block} states")
+    table = np.empty(len(piece), dtype=np.int64) if out is None else out[: len(piece)]
+    first, stop = piece.start // block, piece.stop // block
+    if lower is None:
+        _grow_lower_rows(table, tables, folded)
+        # Every other digit reads the lower rows in the first digit's block, so that
+        # digit grows last, in place, after the parts have joined.
+        lower, skip = table[:block], first + 1
+    else:
+        skip = first
+    # The last row writes all of the table but the lower rows' block; its digits are dealt
+    # to index_parts(size) parts in turn, or run in one part on a piece.
+    low = min(tables.shape[0] - 1, folded)
+    parts = index_parts(size) if len(piece) == size else 1
+    grow = partial(_grow_row, table, tables, tables.shape[0] - 1, low, first=first, source=lower)
+    run_parts(lambda part: grow(range(stop - parts + part, skip - 1, -parts)), parts)
+    if skip > first:
+        grow((first,))
+    return table
+
+
+def lower_rows(form: Formulation, shift: int = 0) -> np.ndarray:
+    """The table objective_values(form, shift) grows over every row below the last,
+    R^(n-1) entries, before its last row: what the pieces of one space share."""
+    tables, folded = _key_tables(form, shift)
+    table = np.empty(form.space_size // tables.shape[2], dtype=np.int64)
+    _grow_lower_rows(table, tables, folded)
+    return table
+
+
+def _key_tables(form: Formulation, shift: int) -> tuple[np.ndarray, int]:
+    """objective_values' row-pair tables at `shift`, checked, and the rows it folds."""
     size = form.space_size
     if size > EMULATION_SPACE_CAP:
         raise SpaceScaleError(f"space of {size} states exceeds the cap {EMULATION_SPACE_CAP}")
@@ -167,20 +247,17 @@ def objective_values(form: Formulation, shift: int = 0) -> np.ndarray:
         tables <<= shift
         for k in range(n):
             tables[k, k] += (np.arange(radix) * radix**k)[:, None]
-    folded = next((h for h in range(n) if radix**h >= _FOLD_BLOCK), n)
-    table = np.zeros(size, dtype=np.int64)
-    for k in range(n):
-        low = min(k, folded)
-        # Every digit but 0 reads the old table, which is digit 0's block, so digit 0 grows
-        # last, after the parts have joined.  The last row writes all but 1/R of the table;
-        # its other digits are dealt to index_parts(size) parts in turn.
-        parts = index_parts(size) if k == n - 1 else 1
-        run_parts(
-            lambda part: _grow_row(table, tables, k, low, range(radix - parts + part, 0, -parts)),
-            parts,
-        )
-        _grow_row(table, tables, k, low, (0,))
-    return table
+    return tables, next((h for h in range(n) if radix**h >= _FOLD_BLOCK), n)
+
+
+def _grow_lower_rows(table: np.ndarray, tables: np.ndarray, folded: int) -> None:
+    """Grow the rows below the last into the table's first R^(n-1) entries, in place."""
+    radix = tables.shape[2]
+    table[:1] = 0
+    for k in range(tables.shape[0] - 1):
+        # Digit 0's block is the old table, so it grows last.
+        _grow_row(table, tables, k, min(k, folded), range(radix - 1, 0, -1))
+        _grow_row(table, tables, k, min(k, folded), (0,))
 
 
 def _check_key_width(tables: np.ndarray, shift: int) -> None:
@@ -194,26 +271,35 @@ def _check_key_width(tables: np.ndarray, shift: int) -> None:
         raise SpaceScaleError(f"values in [{low}, {high}] and {shift} state bits overflow a 64-bit key")
 
 
-def _grow_row(table: np.ndarray, tables: np.ndarray, k: int, low: int, digits: Iterable[int]) -> None:
+def _grow_row(
+    table: np.ndarray,
+    tables: np.ndarray,
+    k: int,
+    low: int,
+    digits: Iterable[int],
+    first: int = 0,
+    source: np.ndarray | None = None,
+) -> None:
     """Grow the table by row k's axis at `digits`, in place.
 
-    The table holds rows < k in its first R^k entries (old); block d of the
-    grown table is new[d, rest] = old[rest] + inc[low] + the pair tables of
-    the unfolded rows low..k-1 at d, where inc holds T_k[d] and the pair
-    tables of the folded rows below `low` at d.
+    The table holds rows < k in its first R^k entries (old), or `source`
+    holds them; block d - first of the grown table is new[d, rest] =
+    old[rest] + inc[low] + the pair tables of the unfolded rows low..k-1 at
+    d, where inc holds T_k[d] and the pair tables of the folded rows below
+    `low` at d.
     """
     radix = tables.shape[2]
     filled = radix**k
-    block = table[:filled].reshape(-1, radix**low)
-    grown = table[: filled * radix].reshape(radix, -1, radix**low)
+    block = (table[:filled] if source is None else source).reshape(-1, radix**low)
     inc = np.empty(radix**low, dtype=np.int64)
     for d in digits:
+        grown = table[(d - first) * filled : (d - first + 1) * filled].reshape(-1, radix**low)
         inc[:] = tables[k, k, d, 0]
         for i in range(low):
             _add_pair(inc, tables[i, k, :, d : d + 1], i, low)
-        np.add(block, inc, out=grown[d])
+        np.add(block, inc, out=grown)
         for i in range(low, k):
-            _add_pair(grown[d], tables[i, k, :, d : d + 1], i, k)
+            _add_pair(grown, tables[i, k, :, d : d + 1], i, k)
 
 
 def _add_pair(table: np.ndarray, pair: np.ndarray, i: int, k: int) -> None:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from qapgas import gas as gas_module
+from qapgas import space as space_module
 from qapgas.encodings import (
     Formulation,
     FormulationKind,
@@ -45,9 +46,11 @@ from qapgas.samples import sample_instance, sample_optimum
 from qapgas.space import (
     EMULATION_SPACE_CAP,
     INDEX_BLOCK,
+    INDEX_PIECE,
     SpaceScaleError,
     dicke_rank_to_bits,
     index_parts,
+    index_pieces,
     objective_denominator,
     objective_values,
     run_parts,
@@ -230,6 +233,25 @@ class TestSearchSpace:
         # The space holds one 8-byte key per state; order and sorted_values are built on access.
         assert peak <= form.space_size * 8 + 4 * INDEX_BLOCK * 8
 
+    def test_piece_build_peak_is_the_state_array_plus_a_scratch_piece_per_thread(self):
+        """A space of more than one piece holds a 4-byte state index per state.  The
+        build's traced peak is that array, one int64 scratch piece per build thread, the
+        rows below the last (2^20 int64 entries on qubo-h N=5), and a fixed allowance
+        for the per-piece and merged level tables: below the 8 bytes per state of a
+        sorted key buffer."""
+        form = encode(random_instance(5, seed=2), "qubo-h")
+        size, parts = form.space_size, index_parts(form.space_size)
+        assert len(index_pieces(form)) == size // INDEX_PIECE
+        level_allowance = 16 << 20
+        tracemalloc.start()
+        try:
+            space = SearchSpace(form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.levels.starts.size > 1
+        assert peak <= 4 * size + parts * 8 * INDEX_PIECE + 8 * (size >> 5) + level_allowance
+
     def test_dicke_space_at_n8_finds_the_optimum(self):
         """64 variables: ranks need no 64-bit mask, and masks with bit 63 set decode."""
         form = encode_qubo_dicke(sample_instance(8))
@@ -286,23 +308,38 @@ def full_sort_reference(form):
     return order, values
 
 
+def small_pieces(monkeypatch, piece):
+    """Make the index build cut every space of more than `piece` states into pieces."""
+    monkeypatch.setattr(space_module, "INDEX_PIECE", piece)
+
+
 class TestSplitBuild:
     # qubo-h N=4 is exactly one block, so one part; hubo-hw N=6 is a power-of-two
     # number of blocks, and qubo-d N=7 (823,543 states) is not a multiple of the block.
-    SPACES = [("qubo-h", 4, 1), ("hubo-hw", 6, 2), ("qubo-d", 7, 2)]
+    # The last entry is a piece size that cuts the space into several pieces: two
+    # digit blocks each on qubo-h N=4 (R=16), one on hubo-hw N=6 (R=8), and two on
+    # qubo-d N=7 (R=7), whose last piece holds one.
+    SPACES = [("qubo-h", 4, 1, 1 << 13), ("hubo-hw", 6, 2, 1 << 12), ("qubo-d", 7, 2, 1 << 18)]
 
-    @pytest.mark.parametrize("kind, n, parts", SPACES)
-    def test_two_core_build_equals_one_full_sort(self, monkeypatch, kind, n, parts):
+    @pytest.mark.parametrize("split", [False, True], ids=["one-piece", "pieces"])
+    @pytest.mark.parametrize("kind, n, parts, piece", SPACES)
+    def test_two_core_build_equals_one_full_sort(self, monkeypatch, kind, n, parts, piece, split):
         usable_cores(monkeypatch, 2)
+        if split:
+            small_pieces(monkeypatch, piece)
         form = encode(random_instance(n, seed=2), kind)
         assert index_parts(form.space_size) == parts
+        assert (len(index_pieces(form)) > 1) == split
         space = SearchSpace(form)
         order, values = full_sort_reference(form)
         assert np.array_equal(space.order, order)
         assert np.array_equal(space.sorted_values, values)
 
-    @pytest.mark.parametrize("kind, n, parts", SPACES)
-    def test_one_usable_core_gives_the_same_arrays(self, monkeypatch, kind, n, parts):
+    @pytest.mark.parametrize("split", [False, True], ids=["one-piece", "pieces"])
+    @pytest.mark.parametrize("kind, n, parts, piece", SPACES)
+    def test_one_usable_core_gives_the_same_arrays(self, monkeypatch, kind, n, parts, piece, split):
+        if split:
+            small_pieces(monkeypatch, piece)
         form = encode(random_instance(n, seed=2), kind)
         usable_cores(monkeypatch, 2)
         two_numerators, two = objective_values(form), SearchSpace(form)
@@ -313,23 +350,14 @@ class TestSplitBuild:
         assert one.order.dtype == two.order.dtype
         assert np.array_equal(one.order, two.order)
         assert np.array_equal(one.sorted_values, two.sorted_values)
+        assert all(np.array_equal(a, b) for a, b in zip(one.levels, two.levels))
 
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_levels_starting_on_block_boundaries(self, monkeypatch, cores):
-        """Values x16 + 2 x17 over 18 variables: four levels, each starting on a block (and
-        part) boundary of the scan."""
-        usable_cores(monkeypatch, cores)
-        poly = MultilinearPolynomial(18, {(16,): 1, (17,): 2})
-        inst = QapInstance(3, np.zeros((3, 3)), np.zeros((3, 3)))
-        space = SearchSpace(Formulation(FormulationKind.QUBO_HADAMARD, poly, 18, 3, (1.0, 1.0), inst))
-        starts, counts, numerators = space.levels
-        assert starts.tolist() == [0, INDEX_BLOCK, 2 * INDEX_BLOCK, 3 * INDEX_BLOCK]
-        assert counts.tolist() == [INDEX_BLOCK] * 4
-        assert numerators.tolist() == [0, 1, 2, 3]
-
-    @pytest.mark.parametrize("kind, n, parts", SPACES)
-    def test_levels_equal_the_runs_of_sorted_values(self, monkeypatch, kind, n, parts):
+    @pytest.mark.parametrize("split", [False, True], ids=["one-piece", "pieces"])
+    @pytest.mark.parametrize("kind, n, parts, piece", SPACES)
+    def test_levels_equal_the_runs_of_sorted_values(self, monkeypatch, kind, n, parts, piece, split):
         usable_cores(monkeypatch, 2)
+        if split:
+            small_pieces(monkeypatch, piece)
         form = encode(random_instance(n, seed=2), kind)
         space = SearchSpace(form)
         values = space.sorted_values
@@ -371,6 +399,7 @@ class TestSplitBuild:
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         usable_cores(monkeypatch, 2)
+        small_pieces(monkeypatch, 1 << 18)  # four pieces, dealt to two threads
         form = encode(random_instance(7, seed=2), "qubo-d")
         original = gas_module.run_parts
 
@@ -567,57 +596,15 @@ class TestKeyDecode:
         assert len(arrays) == 1 and arrays[0].dtype == np.int64 and arrays[0].size == space.size
         assert space.order is not space.order  # built on each access, not kept
 
-
-class TestTwoRunIndex:
-    """With two usable cores a space of more than one block is two sorted runs, read
-    through their merged order."""
-
-    @pytest.mark.parametrize("kind, n", [("hubo-hw", 6), ("qubo-d", 7)])
-    def test_draws_and_counts_equal_one_full_sort(self, monkeypatch, kind, n):
-        usable_cores(monkeypatch, 2)
-        form = encode(random_instance(n, seed=2), kind)
-        assert index_parts(form.space_size) == 2
-        space = SearchSpace(form)
-        size = space.size
-        order, values = full_sort_reference(form)
-        starts, counts, _ = space.levels
-        ranks = np.concatenate(
-            [
-                starts,
-                starts + counts - 1,
-                [size // 2 - 1, size // 2],
-                np.random.default_rng(n).integers(size, size=300),
-            ]
-        )
-        assert_draws_read_the_arrays(space, ranks.tolist(), (order, values))
-        assert np.array_equal(space.sorted_values, values)
-        assert_counts_are_searchsorted(space)
-
-    def test_exact_engine_draws_equal_search_space_draws(self, monkeypatch):
-        usable_cores(monkeypatch, 2)
-        form = encode(random_instance(6, seed=2), "hubo-hw")
-        space, engine = SearchSpace(form), ExactEngine(form)
-        values = space.sorted_values
-        uniforms = (0.0, 0.3, 0.7, TOP_UNIFORM)
-        for y in (values[0], values[space.size // 2], values[-1], values[-1] + 1.0):
-            for rotations in (0, 1, 3):
-                for u_branch in uniforms:
-                    for u_rank in uniforms:
-                        draw = (float(y), rotations, u_branch, u_rank)
-                        assert engine.draw(*draw) == space.draw(*draw)
-
-    @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("sampler", [SearchSpace, ExactEngine])
-    def test_freed_by_reference_counting(self, monkeypatch, cores, sampler):
-        """Dropping the last reference frees the index at once: no reference cycle
-        waits for the cycle collector while the next space is built."""
-        usable_cores(monkeypatch, cores)
-        form = encode(random_instance(6, seed=2), "hubo-hw")
+    def test_freed_by_reference_counting(self, sampler):
+        """Dropping the last reference frees the key buffer at once (TestPieceIndex
+        checks the same of a piece index's state array)."""
         gc.disable()
         try:
-            space = sampler(form)
+            space = sampler(encode(random_instance(6, seed=2), "hubo-hw"))
             space.draw(float(space.minimum()[1]) + 1.0, 1, 0.5, 0.5)
-            space.levels  # kept on the instance once built
+            space.levels
             space_ref, keys_ref = weakref.ref(space), weakref.ref(space._keys)
             del space
             assert space_ref() is None
@@ -652,21 +639,157 @@ def key_width_form(coefficient, term):
 KEY_WIDTH_TERMS = [(0,), (0, 6)]
 
 
+def four_level_form():
+    """Values x16 + 2 x17 over 18 variables in three rows of six: four levels of 2^16
+    states, each the 16 last-row digit blocks whose digit has bits 4 and 5 equal to the
+    level."""
+    poly = MultilinearPolynomial(18, {(16,): 1, (17,): 2})
+    inst = QapInstance(3, np.zeros((3, 3)), np.zeros((3, 3)))
+    return Formulation(FormulationKind.QUBO_HADAMARD, poly, 18, 3, (1.0, 1.0), inst)
+
+
+def hubo_hw_6():
+    return encode(random_instance(6, seed=2), "hubo-hw")
+
+
+# Spaces cut into several pieces, and the piece size that cuts them: one digit block
+# per piece on hubo-hw N=6 (8 pieces) and on the four-level form (64 pieces, whose
+# levels start on piece boundaries), two on qubo-d N=7 (4 pieces, the last holding
+# one), and four on the mixed-sign form (16 pieces).
+PIECE_SPACES = [
+    pytest.param(hubo_hw_6, 1 << 12, id="hubo-hw-6"),
+    pytest.param(lambda: encode(random_instance(7, seed=2), "qubo-d"), 1 << 18, id="qubo-d-7"),
+    pytest.param(mixed_sign_form, 1 << 14, id="mixed-sign"),
+    pytest.param(four_level_form, 1 << 12, id="four-levels"),
+]
+
+
+def piece_space(monkeypatch, cores, make, piece, sampler=SearchSpace):
+    """`sampler` of make() built with `cores` usable cores, cut into pieces of `piece` states."""
+    usable_cores(monkeypatch, cores)
+    small_pieces(monkeypatch, piece)
+    space = sampler(make())
+    assert len(index_pieces(space.form)) > 1
+    return space
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+class TestPieceIndex:
+    """A space of more than one piece holds an int32 state index, one sorted segment per
+    piece, read through its level table: every array, level, count and draw equals
+    one full sort of packed (value, state) keys, at either thread count."""
+
+    @pytest.mark.parametrize("make, piece", PIECE_SPACES)
+    def test_arrays_and_levels_equal_one_full_sort(self, monkeypatch, cores, make, piece):
+        space = piece_space(monkeypatch, cores, make, piece)
+        order, values = full_sort_reference(space.form)
+        assert space.order.dtype == (np.uint64 if space.form.num_vars > 31 else np.int32)
+        assert np.array_equal(space.order, order)
+        assert np.array_equal(space.sorted_values, values)
+        numerators = np.sort(objective_values(space.form))
+        starts = np.r_[0, np.flatnonzero(numerators[1:] != numerators[:-1]) + 1]
+        assert space.levels.starts.tolist() == starts.tolist()
+        assert space.levels.counts.tolist() == np.diff(starts, append=space.size).tolist()
+        assert space.levels.numerators.tolist() == numerators[starts].tolist()
+
+    @pytest.mark.parametrize("make, piece", PIECE_SPACES)
+    def test_counts_equal_one_full_sort(self, monkeypatch, cores, make, piece):
+        space = piece_space(monkeypatch, cores, make, piece)
+        _, values = full_sort_reference(space.form)
+        levels = values[space.levels.starts]
+        rng = np.random.default_rng(cores)
+        xs = [
+            *levels, *np.nextafter(levels, -np.inf), *np.nextafter(levels, np.inf),
+            *rng.uniform(values[0] - 1, values[-1] + 1, 200), -np.inf, np.inf, np.nan,
+        ]
+        for x in map(float, xs):
+            assert space.count_below(x) == int(np.searchsorted(values, x, side="left")), x
+
+    @pytest.mark.parametrize("make, piece", PIECE_SPACES)
+    def test_draws_equal_one_full_sort(self, monkeypatch, cores, make, piece):
+        """At every level's first and last rank, on both sides of every piece boundary,
+        and at random ranks."""
+        space = piece_space(monkeypatch, cores, make, piece)
+        starts, counts, _ = space.levels
+        boundaries = [p.start for p in index_pieces(space.form)[1:]]
+        ranks = np.concatenate(
+            [
+                starts,
+                starts + counts - 1,
+                boundaries,
+                np.subtract(boundaries, 1),
+                np.random.default_rng(cores).integers(space.size, size=300),
+            ]
+        )
+        assert_draws_read_the_arrays(space, ranks.tolist(), full_sort_reference(space.form))
+
+    @pytest.mark.parametrize("make, piece", PIECE_SPACES[:1] + PIECE_SPACES[2:])
+    def test_exact_engine_draws_equal_search_space_draws(self, monkeypatch, cores, make, piece):
+        space = piece_space(monkeypatch, cores, make, piece)
+        engine = piece_space(monkeypatch, cores, make, piece, ExactEngine)
+        values = space.sorted_values
+        uniforms = (0.0, 0.3, 0.7, TOP_UNIFORM)
+        for y in (values[0], values[space.size // 2], values[-1], values[-1] + 1.0):
+            for rotations in (0, 1, 3):
+                for u_branch in uniforms:
+                    for u_rank in uniforms:
+                        draw = (float(y), rotations, u_branch, u_rank)
+                        assert engine.draw(*draw) == space.draw(*draw)
+
+    def test_levels_start_on_piece_boundaries(self, monkeypatch, cores):
+        space = piece_space(monkeypatch, cores, four_level_form, 1 << 12)
+        starts, counts, numerators = space.levels
+        assert starts.tolist() == [0, 1 << 16, 2 << 16, 3 << 16]
+        assert counts.tolist() == [1 << 16] * 4
+        assert numerators.tolist() == [0, 1, 2, 3]
+        assert set(starts.tolist()) <= {p.start for p in index_pieces(space.form)}
+        assert_draws_read_the_arrays(space, [0, *(starts - 1)[1:], *starts, space.size - 1])
+
+    def test_holds_a_four_byte_state_index(self, monkeypatch, cores):
+        space = piece_space(monkeypatch, cores, hubo_hw_6, 1 << 12)
+        arrays = [v for v in vars(space).values() if isinstance(v, np.ndarray)]
+        full = [array for array in arrays if array.size >= space.size]
+        assert len(full) == 1 and full[0].dtype == np.int32 and full[0].size == space.size
+        assert sum(array.nbytes for array in arrays) < 5 * space.size
+
+    @pytest.mark.parametrize("sampler", [SearchSpace, ExactEngine])
+    def test_freed_by_reference_counting(self, monkeypatch, cores, sampler):
+        """Dropping the last reference frees the index at once: no reference cycle
+        waits for the cycle collector while the next space is built."""
+        gc.disable()
+        try:
+            space = piece_space(monkeypatch, cores, hubo_hw_6, 1 << 12, sampler)
+            space.draw(float(space.minimum()[1]) + 1.0, 1, 0.5, 0.5)
+            space.levels  # kept on the instance once built
+            space_ref, states_ref = weakref.ref(space), weakref.ref(space._states)
+            del space
+            assert space_ref() is None
+            assert states_ref() is None
+        finally:
+            gc.enable()
+
+
 class TestFusedKeys:
     """The keys the value tables write directly, sorted, equal one full sort of
-    packed (value, state) keys, signs and both part counts included."""
+    packed (value, state) keys, signs, both part counts and both index layouts included."""
 
+    @pytest.mark.parametrize("split", [False, True], ids=["one-piece", "pieces"])
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize(
-        "make", [lambda: encode(random_instance(6, seed=4), "hubo-hw"),
-                 lambda: encode(random_instance(7, seed=4), "qubo-d"),
-                 lambda: encode(random_instance(4, seed=4), "qubo-h"),
-                 mixed_sign_form],
-        ids=["hubo-hw-6", "qubo-d-7", "qubo-h-4", "mixed-sign"],
+        "make, piece",
+        [
+            pytest.param(lambda: encode(random_instance(6, seed=4), "hubo-hw"), 1 << 15, id="hubo-hw-6"),
+            pytest.param(lambda: encode(random_instance(7, seed=4), "qubo-d"), 1 << 17, id="qubo-d-7"),
+            pytest.param(lambda: encode(random_instance(4, seed=4), "qubo-h"), 1 << 14, id="qubo-h-4"),
+            pytest.param(mixed_sign_form, 1 << 13, id="mixed-sign"),
+        ],
     )
-    def test_levels_and_counts_equal_one_full_sort(self, monkeypatch, cores, make):
+    def test_levels_and_counts_equal_one_full_sort(self, monkeypatch, cores, make, piece, split):
         usable_cores(monkeypatch, cores)
+        if split:
+            small_pieces(monkeypatch, piece)
         form = make()
+        assert (len(index_pieces(form)) > 1) == split
         space = SearchSpace(form)
         order, values = full_sort_reference(form)
         numerators = np.sort(objective_values(form))
@@ -681,11 +804,15 @@ class TestFusedKeys:
         ranks = [*rng.integers(space.size, size=200).tolist(), space.size // 2 - 1, space.size // 2]
         assert_draws_read_the_arrays(space, ranks, (order, values))
 
+    @pytest.mark.parametrize("split", [False, True], ids=["one-piece", "pieces"])
     @pytest.mark.parametrize("cores", [1, 2])
-    def test_mixed_signs_run_as_parts(self, monkeypatch, cores):
+    def test_mixed_signs_run_as_parts(self, monkeypatch, cores, split):
         usable_cores(monkeypatch, cores)
+        if split:
+            small_pieces(monkeypatch, 1 << 14)
         form = mixed_sign_form()
         assert index_parts(form.space_size) == cores
+        assert (len(index_pieces(form)) > 1) == split
         space = SearchSpace(form)
         assert objective_denominator(form) == 2
         assert space.minimum()[1] < 0 < space.sorted_values[-1]

@@ -14,13 +14,17 @@ from qapgas.gas import ExactEngine, SearchSpace
 from qapgas.polynomials import MultilinearPolynomial
 from qapgas.qap import QapInstance, dense_instance, generic_instance, random_instance
 from qapgas.samples import sample_instance
+import qapgas.space as space_module
 from qapgas.space import (
     EMULATION_SPACE_CAP,
+    SpaceScaleError,
     _check_key_width,
     _integer_terms,
     _row_tables,
     dicke_rank_decoder,
     dicke_rank_to_bits,
+    index_pieces,
+    lower_rows,
     objective_denominator,
     objective_values,
     value_bounds,
@@ -69,6 +73,63 @@ class TestObjectiveValues:
     def test_power_of_two_hubo_space_relabels_dicke_space_at_n8(self):
         inst = sample_instance(8)
         assert_same_values(encode_qubo_dicke(inst), encode_hubo_hw(inst))
+
+
+class TestPieces:
+    """A space of more than INDEX_PIECE states is enumerated as runs of whole last-row
+    digit blocks; the pieces' tables, in order, are the whole table."""
+
+    # (kind, n, piece): one digit per piece (hubo-hw N=6, R=8), two digits with a
+    # partial last piece (qubo-d N=7, R=7), and several digits (qubo-h N=4, R=16).
+    CASES = [("hubo-hw", 6, 1 << 12), ("qubo-d", 7, 1 << 18), ("qubo-h", 4, 1 << 13)]
+
+    @pytest.mark.parametrize("kind, n, piece", CASES)
+    def test_pieces_cover_the_space_in_whole_blocks(self, monkeypatch, kind, n, piece):
+        form = encode(random_instance(n, seed=3), kind)
+        monkeypatch.setattr(space_module, "INDEX_PIECE", piece)
+        pieces = index_pieces(form)
+        block = len(lower_rows(form))  # R^(n-1) states
+        assert pieces[0].start == 0 and pieces[-1].stop == form.space_size
+        assert all(a.stop == b.start for a, b in zip(pieces, pieces[1:]))
+        assert all(p.start % block == 0 and len(p) % block == 0 for p in pieces)
+        assert all(len(p) == max(piece // block, 1) * block for p in pieces[:-1])
+        assert 0 < len(pieces[-1]) <= len(pieces[0])
+        if kind == "qubo-d":
+            assert len(pieces[-1]) < len(pieces[0])
+
+    @pytest.mark.parametrize("kind, n, piece", CASES)
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_piece_tables_concatenate_to_the_whole_table(self, monkeypatch, kind, n, piece, shift):
+        form = encode(random_instance(n, seed=3), kind)
+        shift *= (form.space_size - 1).bit_length()
+        whole = objective_values(form, shift)
+        monkeypatch.setattr(space_module, "INDEX_PIECE", piece)
+        pieces = index_pieces(form)
+        assert len(pieces) > 1
+        lower = lower_rows(form, shift)
+        scratch = np.empty(len(pieces[0]), dtype=np.int64)
+        for rows in (None, lower):
+            tables = [objective_values(form, shift, p, scratch, rows).copy() for p in pieces]
+            assert np.array_equal(np.concatenate(tables), whole)
+        assert np.array_equal(objective_values(form, shift, range(form.space_size)), whole)
+        out = objective_values(form, shift, pieces[-1], scratch)
+        assert out.base is scratch and np.array_equal(out, whole[pieces[-1].start :])
+
+    def test_one_piece_up_to_the_piece_size(self, monkeypatch):
+        form = encode(random_instance(4, seed=3), "qubo-h")
+        monkeypatch.setattr(space_module, "INDEX_PIECE", form.space_size)
+        assert index_pieces(form) == [range(form.space_size)]
+
+    def test_pieces_that_split_a_block_are_refused(self):
+        form = encode(random_instance(4, seed=3), "qubo-h")  # blocks of 4,096 states
+        for piece in (range(1, 4096), range(0, 4095), range(0, 8192, 2), range(4096, 4096),
+                      range(0, 2 * form.space_size)):
+            with pytest.raises(ValueError, match="whole blocks"):
+                objective_values(form, 0, piece)
+
+    def test_oversized_space_has_no_pieces(self):
+        with pytest.raises(SpaceScaleError):
+            index_pieces(encode(random_instance(6, seed=0), "qubo-h"))  # 2^36
 
 
 class TestKeyWidth:
