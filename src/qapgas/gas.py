@@ -12,11 +12,13 @@ stand on one index (SearchSpace).  The search space is enumerated as int64
 (value, state) keys, each state's exact value at the objective's common
 denominator above its index, written straight from the same per-row and
 row-pair tables for every kind (space.objective_values), and sorted.  A
-space of at most space.INDEX_PIECE states keeps its sorted keys, and a draw
-decodes its state's bitmask and value from the key of its rank.  A larger
-space is enumerated and sorted piece by piece, on index_parts threads, and
-keeps only an int32 state index per state with a level table: a draw finds
-its rank's value level, then the piece that holds it, then its state.
+space of more than space.INDEX_PIECE states is enumerated and sorted piece
+by piece, on index_parts threads, and keeps an int32 state index per state
+with a table of its cells, the runs of one value within one piece: a draw
+finds its rank's cell, then its state.  A smaller space, or one whose
+values are too fine for the cell tables to stay small, keeps its sorted
+keys, and a draw decodes its state's bitmask and value from the key of its
+rank.
 
 * ``emulated`` -- classical amplification model: a sample is marked
   (objective strictly below the threshold) with the exact Grover probability
@@ -62,6 +64,7 @@ from .circuits import width_for_range
 from .encodings import Formulation, FormulationKind
 from .space import (
     EMULATION_SPACE_CAP,
+    INDEX_PIECE,
     SpaceScaleError,
     dicke_rank_decoder,
     dicke_rank_to_bits,
@@ -112,18 +115,20 @@ class LevelTable(NamedTuple):
     numerators: np.ndarray
 
 
-# _runs compares neighbours this many at a time, so its flags never span a whole piece.
-_SCAN_BLOCK = 1 << 16
+# A space of more than one piece keeps a piece index only while its pieces hold at most
+# size // PIECE_LEVEL_SHARE (level, piece) cells, runs of one value within one piece:
+# then the cell tables, and the merge that builds them (about 40 bytes per cell at
+# most), stay below 3 bytes per state.  A space with finer values (generic_instance's
+# have about one value per state) holds its sorted keys instead, 8 bytes per state.
+PIECE_LEVEL_SHARE = 16
 
 
-def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of each run of equal entries of a sorted array (int64 starts)."""
-    starts = [np.zeros(1, dtype=np.int64)]
-    for start in range(1, ordered.size, _SCAN_BLOCK):
-        stop = min(start + _SCAN_BLOCK, ordered.size)
-        starts.append(np.flatnonzero(ordered[start:stop] != ordered[start - 1 : stop - 1]) + start)
-    starts = np.concatenate(starts)
-    return starts, np.diff(starts, append=ordered.size)
+def _run_firsts(ordered: np.ndarray) -> np.ndarray:
+    """Whether each entry of a sorted array starts a run of equal entries (bool)."""
+    firsts = np.empty(ordered.size, dtype=bool)
+    firsts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=firsts[1:])
+    return firsts
 
 
 def _key_decoder(
@@ -151,37 +156,29 @@ def _key_decoder(
     return entry
 
 
-def _level_reader(
+def _cell_reader(
     states: np.ndarray,
-    levels: LevelTable,
-    within: np.ndarray,
-    base: np.ndarray,
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+    numerators: np.ndarray,
     den: int,
     to_bits: Callable[[int], int] | None,
-) -> tuple[Callable[[int], tuple[int, float]], Callable[[int, int], tuple[int, float]]]:
-    """entry(rank) and at(level, offset): the (bitmask, value) of a piece index's rank.
+) -> Callable[[int], tuple[int, float]]:
+    """entry(rank): the (bitmask, value) of a piece index's rank-th state.
 
-    A rank's level is a bisect over the level starts.  Its piece is the first
-    whose within-level cumulative count (a row of `within`) exceeds the offset
-    within the level, and its state is states[base[level, piece] + offset];
-    the value is the level's numerator / den, rounded once as in
-    _key_decoder.  Every array is read through a memoryview, as Python ints,
-    and the closures never hold the SearchSpace.
+    A rank's cell is a bisect over the cells' first ranks; its state is
+    states[rank + the cell's shift] and its value its level's numerator /
+    den, rounded once as in _key_decoder.  Every array is read through a
+    memoryview, as Python ints, and the closure never holds the SearchSpace.
     """
-    pieces = within.shape[1]
-    starts, numerators = memoryview(levels.starts), memoryview(levels.numerators)
-    states, within, base = memoryview(states), memoryview(within.reshape(-1)), memoryview(base.reshape(-1))
-
-    def at(level: int, offset: int) -> tuple[int, float]:
-        row = level * pieces
-        state = states[base[bisect_right(within, offset, row, row + pieces)] + offset]
-        return state if to_bits is None else to_bits(state), numerators[level] / den
+    states, numerators = memoryview(states), memoryview(numerators)
+    starts, shifts, levels = map(memoryview, cells)
 
     def entry(rank: int) -> tuple[int, float]:
-        level = bisect_right(starts, rank) - 1
-        return at(level, rank - starts[level])
+        cell = bisect_right(starts, rank) - 1
+        state = states[rank + shifts[cell]]
+        return state if to_bits is None else to_bits(state), numerators[levels[cell]] / den
 
-    return entry, at
+    return entry
 
 
 class SearchSpace:
@@ -195,26 +192,28 @@ class SearchSpace:
     and the order is the same on every host and for every thread count.
     ``order`` and ``sorted_values``, every sorted state's bitmask and value,
     are built on each access and not kept; ``levels``, the LevelTable of the
-    values, is kept once built.  What the index holds depends only on the
-    space's size (index_pieces):
+    values, is kept once built.  The index holds one of two layouts:
 
-    * At most INDEX_PIECE states: the keys themselves, sorted in place
-      (8 bytes per state).  A draw reads the key of its rank and decodes
-      it: the state is key & mask (on the Dicke space a support rank,
-      mapped to its bitmask by dicke_rank_decoder) and the value
-      (key >> shift) / den.  A threshold count is one binary search of a
-      key bound; ``levels`` is scanned from the keys on first access.
-    * More: the int32 state index of every state (4 bytes per state), one
-      segment per piece.  Each piece's keys are enumerated into a scratch
-      buffer, one per build thread (index_parts), and sorted there; their
-      states are written to the piece's segment, and their runs of equal
-      numerators give the piece's levels.  The per-piece tables merge into
-      ``levels`` and two int32 (level x piece) tables: each level's
-      cumulative count over the pieces, and where its states start in
-      each piece's segment.  Every state of a piece is below every state of
-      the next, so a level lists the states of each piece in piece order.
-      A draw finds its rank's level, then its piece (_level_reader); a
-      threshold count is one binary search of the level numerators.
+    * Sorted keys (8 bytes per state), for a space of at most INDEX_PIECE
+      states, and for a larger one whose values are too fine for the
+      other layout (more than size // PIECE_LEVEL_SHARE cells).  A draw
+      reads the key of its rank and decodes it: the state is key & mask
+      (on the Dicke space a support rank, mapped to its bitmask by
+      dicke_rank_decoder) and the value (key >> shift) / den.  A threshold
+      count is one binary search of a key bound; ``levels`` is scanned
+      from the keys on first access.
+    * Pieces (4 bytes per state, plus the cell tables): the int32 state
+      index of every state, one segment per piece (index_pieces).  Each
+      piece's keys are enumerated into a scratch buffer, one per build
+      thread (index_parts), and sorted there; their states are written to
+      the piece's segment, and their runs of equal numerators are the
+      piece's cells.  One stable sort of the cells by numerator puts them in
+      rank order, since every state of a piece is below every state of the
+      next.  Three int32 tables, one entry per cell, hold each cell's first
+      rank, the shift from a rank to its held position, and its level in
+      ``levels``, which the build also makes.  A draw bisects the cells'
+      first ranks (_cell_reader); a threshold count is one binary search of
+      the level numerators.
     """
 
     def __init__(self, form: Formulation):
@@ -222,30 +221,32 @@ class SearchSpace:
         self.size = size = form.space_size
         self._shift = shift = (size - 1).bit_length()
         self._den = den = objective_denominator(form)
-        self._pieces = pieces = index_pieces(form)
         to_bits = dicke_rank_decoder(form.size_n) if form.kind is FormulationKind.QUBO_DICKE else None
-        self._keys = self._states = self._within = self._base = None
-        self._level_entry: Callable[[int, int], tuple[int, float]] | None = None
-        if len(pieces) == 1:
+        self._keys = self._states = self._cells = None
+        pieces = index_pieces(form)
+        if len(pieces) > 1 and self._build_pieces(pieces):
+            numerators = self.levels.numerators
+            self._range = (int(numerators[0]), int(numerators[-1]))
+            self._entry = _cell_reader(self._states, self._cells, numerators, den, to_bits)
+        else:
             self._keys = keys = objective_values(form, shift=shift)
             keys.sort()
             self._range = (int(keys[0]) >> shift, int(keys[-1]) >> shift)
             self._entry = _key_decoder(memoryview(keys), shift, den, to_bits)
-        else:
-            levels = self._build_pieces()
-            self._range = (int(levels.numerators[0]), int(levels.numerators[-1]))
-            self._entry, self._level_entry = _level_reader(
-                self._states, levels, self._within, self._base, den, to_bits
-            )
         self._last_count = (math.nan, 0, 0.0)
 
-    def _build_pieces(self) -> LevelTable:
-        """Build a piece index: the state segments, ``levels`` and the (level x piece) tables."""
-        form, pieces, shift = self.form, self._pieces, self._shift
-        mask = (1 << shift) - 1
-        self._states = states = np.empty(self.size, dtype=np.int32)
+    def _build_pieces(self, pieces: list[range]) -> bool:
+        """Build a piece index: the state segments, the cell tables and ``levels``.
+
+        Returns False, keeping nothing, once the pieces hold more than
+        size // PIECE_LEVEL_SHARE cells.
+        """
+        form, shift, size = self.form, self._shift, self.size
+        mask, budget = (1 << shift) - 1, size // PIECE_LEVEL_SHARE
+        states = np.empty(size, dtype=np.int32)
         found: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(pieces)
-        parts = index_parts(self.size)
+        piece_cells = [0] * len(pieces)
+        parts = index_parts(size)
         lower = lower_rows(form, shift)
 
         def build(part: int) -> None:
@@ -256,32 +257,51 @@ class SearchSpace:
                 keys.sort()
                 np.bitwise_and(keys, mask, out=states[piece.start : piece.stop], casting="unsafe")
                 np.right_shift(keys, shift, out=keys)
-                starts, counts = _runs(keys)
-                found[i] = (keys[starts], counts.astype(np.int32))
+                firsts = _run_firsts(keys)
+                piece_cells[i] = np.count_nonzero(firsts)
+                # Each thread sums after storing its count, so the count that passes the
+                # budget is seen, before any table of that piece is made.
+                if sum(piece_cells) > budget:
+                    return
+                starts = np.flatnonzero(firsts)
+                found[i] = (keys[starts], np.diff(starts, append=keys.size).astype(np.int32))
 
         run_parts(build, parts)
-        # Each piece's numerators are sorted, so a stable sort of them all merges the runs.
-        numerators = np.concatenate([piece_numerators for piece_numerators, _ in found])
+        del lower
+        if sum(piece_cells) > budget:
+            return False
+        # The cells in piece order; each piece's tables are dropped once copied.
+        cells = sum(piece_cells)
+        numerators, counts = np.empty(cells, dtype=np.int64), np.empty(cells, dtype=np.int32)
+        at = 0
+        for i, (piece_numerators, piece_counts) in enumerate(found):
+            found[i] = None
+            numerators[at : at + piece_numerators.size] = piece_numerators
+            counts[at : at + piece_counts.size] = piece_counts
+            at += piece_counts.size
+        # In piece order each cell's states follow those of every cell before it.
+        shifts = np.cumsum(counts, dtype=np.int32)
+        shifts -= counts
+        # Equal numerators keep piece order, and so state order: the cells in rank order.
+        ranked = np.argsort(numerators, kind="stable")
         numerators.sort(kind="stable")
-        numerators = numerators[_runs(numerators)[0]]
-        # Worked piece by piece (rows), then transposed, so each level's row is contiguous.
-        counts = np.zeros((len(pieces), numerators.size), dtype=np.int32)
-        for row, (piece_numerators, piece_counts) in zip(counts, found):
-            row[numerators.searchsorted(piece_numerators)] = piece_counts
-        del found
-        level_counts = counts.sum(axis=0, dtype=np.int64)
-        # A level's states in piece i start, in the held array, after the piece's states of
-        # every level below it: base + offset within the level, once the offsets that the
-        # pieces before i take in this level (within's exclusive count) are taken off.
-        base = np.cumsum(counts, axis=1, dtype=np.int32)
-        base += np.array([[piece.start] for piece in pieces], dtype=np.int32)
-        for i in range(1, len(pieces)):
-            counts[i] += counts[i - 1]
-        base -= counts
-        self._within, self._base = counts.T.copy(), base.T.copy()
-        levels = LevelTable(np.cumsum(level_counts) - level_counts, level_counts, numerators)
-        self.__dict__["levels"] = levels
-        return levels
+        counts = counts[ranked]
+        shifts = shifts[ranked]
+        del ranked
+        starts = np.cumsum(counts, dtype=np.int32)
+        starts -= counts
+        shifts -= starts
+        del counts
+        firsts = _run_firsts(numerators)
+        first = np.flatnonzero(firsts)  # each level's first cell
+        numerators = numerators[first]
+        level_starts = starts[first].astype(np.int64)
+        del first
+        self.__dict__["levels"] = LevelTable(level_starts, np.diff(level_starts, append=size), numerators)
+        level_of = np.cumsum(firsts, dtype=np.int32)
+        level_of -= 1
+        self._states, self._cells = states, (starts, shifts, level_of)
+        return True
 
     @property
     def order(self) -> np.ndarray:
@@ -291,21 +311,16 @@ class SearchSpace:
         """
         form = self.form
         order = np.empty(self.size, dtype=np.uint64 if form.num_vars > 31 else np.int32)
-        dicke = form.kind is FormulationKind.QUBO_DICKE
         if self._keys is not None:
             np.bitwise_and(self._keys, (1 << self._shift) - 1, out=order, casting="unsafe")
-            if dicke:
-                order[...] = dicke_rank_to_bits(form, order)
-            return order
-        # A state at held position h, in level l and piece i, has rank h - base[l, i] + starts[l].
-        starts, within, base = self.levels.starts, self._within, self._base
-        for i, piece in enumerate(self._pieces):
-            counts = within[:, i] - within[:, i - 1] if i else within[:, 0]
-            cells = np.flatnonzero(counts)
-            ranks = np.repeat(starts[cells] - base[cells, i], counts[cells])
-            ranks += np.arange(piece.start, piece.stop)
-            states = self._states[piece.start : piece.stop]
-            order[ranks] = dicke_rank_to_bits(form, states) if dicke else states
+        else:
+            # The rank-th state is held at rank + its cell's shift.
+            starts, shifts, _ = self._cells
+            held = np.repeat(shifts, np.diff(starts, append=self.size))
+            held += np.arange(self.size, dtype=np.int32)
+            order[...] = self._states[held]
+        if form.kind is FormulationKind.QUBO_DICKE:
+            order[...] = dicke_rank_to_bits(form, order)
         return order
 
     @property
@@ -318,11 +333,17 @@ class SearchSpace:
     def levels(self) -> LevelTable:
         """The LevelTable of the sorted values, read off the keys' exact numerators (int64).
 
-        A piece index builds it with the index; sorted keys are scanned on first access.
+        A piece index builds it with the index; sorted keys are scanned on first
+        access, INDEX_PIECE keys at a time, so a space held as keys because its
+        values are fine takes no second array of 8 bytes per state.
         """
-        numerators = self._keys >> self._shift
-        starts, counts = _runs(numerators)
-        return LevelTable(starts, counts, numerators[starts])
+        keys, shift = self._keys, self._shift
+        starts = [np.zeros(1, dtype=np.int64)]
+        for start in range(1, self.size, INDEX_PIECE):
+            numerators = keys[start - 1 : start + INDEX_PIECE] >> shift
+            starts.append(np.flatnonzero(numerators[1:] != numerators[:-1]) + start)
+        starts = np.concatenate(starts)
+        return LevelTable(starts, np.diff(starts, append=self.size), keys[starts] >> shift)
 
     def count_below(self, threshold: float) -> int:
         """Number of states whose value is strictly below `threshold` (all of them at NaN,
@@ -570,8 +591,6 @@ class ExactEngine(SearchSpace):
         offset = int((target - masses[level]) / parts[branch, level])
         starts, counts, _ = self.levels
         offset = min(offset, int(counts[level]) - 1)
-        if self._level_entry is not None:
-            return self._level_entry(level, offset)
         return self._entry(int(starts[level]) + offset)
 
     def sample_many(

@@ -73,8 +73,8 @@ def _integer_terms(form: Formulation) -> tuple[int, list[int]]:
 INDEX_BLOCK = 1 << 16
 
 # States per piece of a SearchSpace index: a space of more is enumerated and sorted
-# piece by piece (index_pieces).  Two threads' int64 scratch pieces (16 MiB each) fit
-# beside a 2^25-state index, and the per-piece level tables stay small.
+# piece by piece (index_pieces), each piece into an int64 scratch buffer per build
+# thread (16 MiB each).
 INDEX_PIECE = 1 << 21
 
 
@@ -190,23 +190,26 @@ def objective_values(
     sums of the tables' minima and maxima keep every key in int64 (partial
     sums may wrap: int64 adds are exact modulo 2^64).
 
-    With `piece`, a range of whole last-row digit blocks (index_pieces), only
-    the entries of states piece.start .. piece.stop - 1 are returned, and the
-    last row grows the piece's digits in one part.  With `out`, an int64
+    With `piece`, a range of whole last-row digit blocks (index_pieces), and
+    `lower`, the table of the rows below the last at this shift (lower_rows),
+    which the pieces of one space share, only the entries of states
+    piece.start .. piece.stop - 1 are returned, grown from `lower` by the
+    last row in one part; the two come together.  With `out`, an int64
     buffer of at least len(piece) (or size) entries, the table is written
-    into its first entries and that view is returned.  With `lower`, the
-    table of the rows below the last at this shift (lower_rows), those rows
-    are not grown again: the pieces of one space share them.
+    into its first entries and that view is returned.
     """
+    if (piece is None) != (lower is None):
+        raise ValueError("a piece is enumerated from its space's lower_rows, and only a piece")
     tables, folded = _key_tables(form, shift)
     size, radix = form.space_size, tables.shape[2]
     block = size // radix
-    piece = range(size) if piece is None else piece
+    whole = piece is None
+    piece = range(size) if whole else piece
     if piece.step != 1 or not 0 <= piece.start < piece.stop <= size or piece.start % block or piece.stop % block:
         raise ValueError(f"{piece} is not a run of whole blocks of {block} states")
     table = np.empty(len(piece), dtype=np.int64) if out is None else out[: len(piece)]
     first, stop = piece.start // block, piece.stop // block
-    if lower is None:
+    if whole:
         _grow_lower_rows(table, tables, folded)
         # Every other digit reads the lower rows in the first digit's block, so that
         # digit grows last, in place, after the parts have joined.
@@ -216,7 +219,7 @@ def objective_values(
     # The last row writes all of the table but the lower rows' block; its digits are dealt
     # to index_parts(size) parts in turn, or run in one part on a piece.
     low = min(tables.shape[0] - 1, folded)
-    parts = index_parts(size) if len(piece) == size else 1
+    parts = index_parts(size) if whole else 1
     grow = partial(_grow_row, table, tables, tables.shape[0] - 1, low, first=first, source=lower)
     run_parts(lambda part: grow(range(stop - parts + part, skip - 1, -parts)), parts)
     if skip > first:

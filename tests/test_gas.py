@@ -41,7 +41,7 @@ from qapgas.gas import (
     run_gas,
 )
 from qapgas.polynomials import MultilinearPolynomial
-from qapgas.qap import QapInstance, brute_force_optimum, objective, random_instance
+from qapgas.qap import QapInstance, brute_force_optimum, generic_instance, objective, random_instance
 from qapgas.samples import sample_instance, sample_optimum
 from qapgas.space import (
     EMULATION_SPACE_CAP,
@@ -51,6 +51,7 @@ from qapgas.space import (
     dicke_rank_to_bits,
     index_parts,
     index_pieces,
+    lower_rows,
     objective_denominator,
     objective_values,
     run_parts,
@@ -234,23 +235,40 @@ class TestSearchSpace:
         assert peak <= form.space_size * 8 + 4 * INDEX_BLOCK * 8
 
     def test_piece_build_peak_is_the_state_array_plus_a_scratch_piece_per_thread(self):
-        """A space of more than one piece holds a 4-byte state index per state.  The
-        build's traced peak is that array, one int64 scratch piece per build thread, the
-        rows below the last (2^20 int64 entries on qubo-h N=5), and a fixed allowance
-        for the per-piece and merged level tables: below the 8 bytes per state of a
-        sorted key buffer."""
+        """A space of more than one piece holds a 4-byte state index per state; its
+        traced build peak is within piece_build_bound, below the 8 bytes per state of
+        a sorted key buffer."""
         form = encode(random_instance(5, seed=2), "qubo-h")
-        size, parts = form.space_size, index_parts(form.space_size)
+        size = form.space_size
         assert len(index_pieces(form)) == size // INDEX_PIECE
-        level_allowance = 16 << 20
         tracemalloc.start()
         try:
             space = SearchSpace(form)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert space.levels.starts.size > 1
-        assert peak <= 4 * size + parts * 8 * INDEX_PIECE + 8 * (size >> 5) + level_allowance
+        assert space._cells[0].size <= size // gas_module.PIECE_LEVEL_SHARE
+        assert peak <= piece_build_bound(space) < 8 * size
+
+    def test_fine_values_build_peak_is_the_key_buffer(self, monkeypatch):
+        """hubo-hw N=7 on a 0.001 grid has about one value per state: its pieces pass the
+        cell budget, so the build drops them and holds the sorted keys, and its traced
+        peak is the key buffer plus one scratch piece and flag array per thread and the
+        lower rows, however many values there are."""
+        form = encode(generic_instance(7, seed=2), "hubo-hw")
+        monkeypatch.setattr(space_module, "INDEX_PIECE", 1 << 18)
+        size, pieces = form.space_size, index_pieces(form)
+        assert len(pieces) == 8
+        tracemalloc.start()
+        try:
+            space = SearchSpace(form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space._states is None and space._keys.size == size
+        assert len(space.levels.starts) > size // 2
+        parts = index_parts(size)
+        assert peak <= 8 * size + parts * 9 * len(pieces[0]) + 8 * len(lower_rows(form))
 
     def test_dicke_space_at_n8_finds_the_optimum(self):
         """64 variables: ranks need no 64-bit mask, and masks with bit 63 set decode."""
@@ -308,9 +326,28 @@ def full_sort_reference(form):
     return order, values
 
 
-def small_pieces(monkeypatch, piece):
-    """Make the index build cut every space of more than `piece` states into pieces."""
+# Bytes per cell that a piece index build may hold at once beside its state array,
+# its scratch pieces and flags and the lower rows: the per-piece cell tables, then the
+# merge's arrays and the level table.  About 40 where every state has its own value,
+# about 20 on random_instance's qubo-h N=5.
+CELL_BYTES = 48
+
+
+def piece_build_bound(space):
+    """The traced peak a piece index build of `space` may reach: 4 bytes per state, 9 per
+    state of a piece on each build thread, the lower rows and CELL_BYTES per cell."""
+    size, form = space.size, space.form
+    scratch = index_parts(size) * 9 * len(index_pieces(form)[0])
+    return 4 * size + scratch + 8 * len(lower_rows(form)) + CELL_BYTES * space._cells[0].size
+
+
+def small_pieces(monkeypatch, piece, share=1):
+    """Make the index build cut every space of more than `piece` states into pieces,
+    and keep them while they hold at most size // `share` cells (by default, always);
+    sorted keys are scanned for their levels `piece` keys at a time."""
     monkeypatch.setattr(space_module, "INDEX_PIECE", piece)
+    monkeypatch.setattr(gas_module, "INDEX_PIECE", piece)
+    monkeypatch.setattr(gas_module, "PIECE_LEVEL_SHARE", share)
 
 
 class TestSplitBuild:
@@ -331,6 +368,7 @@ class TestSplitBuild:
         assert index_parts(form.space_size) == parts
         assert (len(index_pieces(form)) > 1) == split
         space = SearchSpace(form)
+        assert (space._keys is None) == split
         order, values = full_sort_reference(form)
         assert np.array_equal(space.order, order)
         assert np.array_equal(space.sorted_values, values)
@@ -652,32 +690,41 @@ def hubo_hw_6():
     return encode(random_instance(6, seed=2), "hubo-hw")
 
 
+def generic_hubo_hw_6():
+    """hubo-hw N=6 on a 0.001 grid: about one distinct value per state."""
+    return encode(generic_instance(6, seed=2), "hubo-hw")
+
+
 # Spaces cut into several pieces, and the piece size that cuts them: one digit block
-# per piece on hubo-hw N=6 (8 pieces) and on the four-level form (64 pieces, whose
-# levels start on piece boundaries), two on qubo-d N=7 (4 pieces, the last holding
-# one), and four on the mixed-sign form (16 pieces).
+# per piece on hubo-hw N=6 (8 pieces, on both instances) and on the four-level form
+# (64 pieces, whose levels start on piece boundaries), two on qubo-d N=7 (4 pieces,
+# the last holding one), and four on the mixed-sign form (16 pieces).
 PIECE_SPACES = [
     pytest.param(hubo_hw_6, 1 << 12, id="hubo-hw-6"),
+    pytest.param(generic_hubo_hw_6, 1 << 12, id="generic-hubo-hw-6"),
     pytest.param(lambda: encode(random_instance(7, seed=2), "qubo-d"), 1 << 18, id="qubo-d-7"),
     pytest.param(mixed_sign_form, 1 << 14, id="mixed-sign"),
     pytest.param(four_level_form, 1 << 12, id="four-levels"),
 ]
 
 
-def piece_space(monkeypatch, cores, make, piece, sampler=SearchSpace):
-    """`sampler` of make() built with `cores` usable cores, cut into pieces of `piece` states."""
+def piece_space(monkeypatch, cores, make, piece, sampler=SearchSpace, share=1):
+    """`sampler` of make() built with `cores` usable cores, cut into pieces of `piece`
+    states and held as a piece index (see small_pieces for `share`)."""
     usable_cores(monkeypatch, cores)
-    small_pieces(monkeypatch, piece)
+    small_pieces(monkeypatch, piece, share)
     space = sampler(make())
     assert len(index_pieces(space.form)) > 1
+    assert space._keys is None and space._states is not None
     return space
 
 
 @pytest.mark.parametrize("cores", [1, 2])
 class TestPieceIndex:
     """A space of more than one piece holds an int32 state index, one sorted segment per
-    piece, read through its level table: every array, level, count and draw equals
-    one full sort of packed (value, state) keys, at either thread count."""
+    piece, read through its cell table: every array, level, count and draw equals one
+    full sort of packed (value, state) keys, at either thread count and however fine
+    the values."""
 
     @pytest.mark.parametrize("make, piece", PIECE_SPACES)
     def test_arrays_and_levels_equal_one_full_sort(self, monkeypatch, cores, make, piece):
@@ -723,7 +770,7 @@ class TestPieceIndex:
         )
         assert_draws_read_the_arrays(space, ranks.tolist(), full_sort_reference(space.form))
 
-    @pytest.mark.parametrize("make, piece", PIECE_SPACES[:1] + PIECE_SPACES[2:])
+    @pytest.mark.parametrize("make, piece", [p for p in PIECE_SPACES if p.id != "qubo-d-7"])
     def test_exact_engine_draws_equal_search_space_draws(self, monkeypatch, cores, make, piece):
         space = piece_space(monkeypatch, cores, make, piece)
         engine = piece_space(monkeypatch, cores, make, piece, ExactEngine)
@@ -745,12 +792,50 @@ class TestPieceIndex:
         assert set(starts.tolist()) <= {p.start for p in index_pieces(space.form)}
         assert_draws_read_the_arrays(space, [0, *(starts - 1)[1:], *starts, space.size - 1])
 
-    def test_holds_a_four_byte_state_index(self, monkeypatch, cores):
-        space = piece_space(monkeypatch, cores, hubo_hw_6, 1 << 12)
+    def test_holds_a_four_byte_state_index_and_few_cells(self, monkeypatch, cores):
+        """The state array and three int32 entries per cell, at most size //
+        PIECE_LEVEL_SHARE cells: under 4.75 bytes per state."""
+        share = gas_module.PIECE_LEVEL_SHARE
+        space = piece_space(monkeypatch, cores, mixed_sign_form, 1 << 14, share=share)
         arrays = [v for v in vars(space).values() if isinstance(v, np.ndarray)]
-        full = [array for array in arrays if array.size >= space.size]
-        assert len(full) == 1 and full[0].dtype == np.int32 and full[0].size == space.size
-        assert sum(array.nbytes for array in arrays) < 5 * space.size
+        assert len(arrays) == 1 and arrays[0] is space._states
+        assert space._states.dtype == np.int32 and space._states.size == space.size
+        assert all(table.dtype == np.int32 and table.size <= space.size // share for table in space._cells)
+        assert space._states.nbytes + sum(table.nbytes for table in space._cells) < 4.75 * space.size
+
+    def test_build_peak_with_one_value_per_state(self, monkeypatch, cores):
+        """Every cell admitted (share 1) on a space of about one value per state: the
+        build stays within piece_build_bound, a fixed cost per cell."""
+        usable_cores(monkeypatch, cores)
+        small_pieces(monkeypatch, 1 << 17)
+        form = encode(generic_instance(7, seed=2), "qubo-d")
+        tracemalloc.start()
+        try:
+            space = SearchSpace(form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space._cells[0].size > 0.99 * space.size
+        assert peak <= piece_build_bound(space)
+
+    def test_cells_past_the_budget_hold_sorted_keys(self, monkeypatch, cores):
+        """A space is held as pieces while its cells fit in size // PIECE_LEVEL_SHARE,
+        and as its sorted keys from one cell more: both hold the same index."""
+        space = piece_space(monkeypatch, cores, hubo_hw_6, 1 << 12)
+        cells = space._cells[0].size
+        share = space.size // cells  # the budget is at least the cells, and one share more is below
+        assert space.size // (share + 1) < cells <= space.size // share
+        order, values = full_sort_reference(space.form)
+        for held_as_pieces, layout_share in ((True, share), (False, share + 1)):
+            small_pieces(monkeypatch, 1 << 12, layout_share)
+            layout = SearchSpace(space.form)
+            assert (layout._states is not None) == held_as_pieces
+            assert (layout._keys is not None) == (not held_as_pieces)
+            assert np.array_equal(layout.order, order)
+            assert np.array_equal(layout.sorted_values, values)
+            assert all(np.array_equal(a, b) for a, b in zip(layout.levels, space.levels))
+            ranks = np.random.default_rng(cores).integers(space.size, size=200).tolist()
+            assert_draws_read_the_arrays(layout, ranks, (order, values))
 
     @pytest.mark.parametrize("sampler", [SearchSpace, ExactEngine])
     def test_freed_by_reference_counting(self, monkeypatch, cores, sampler):
@@ -791,6 +876,7 @@ class TestFusedKeys:
         form = make()
         assert (len(index_pieces(form)) > 1) == split
         space = SearchSpace(form)
+        assert (space._keys is None) == split
         order, values = full_sort_reference(form)
         numerators = np.sort(objective_values(form))
         starts = np.r_[0, np.flatnonzero(numerators[1:] != numerators[:-1]) + 1]

@@ -108,12 +108,18 @@ class TestPieces:
         assert len(pieces) > 1
         lower = lower_rows(form, shift)
         scratch = np.empty(len(pieces[0]), dtype=np.int64)
-        for rows in (None, lower):
-            tables = [objective_values(form, shift, p, scratch, rows).copy() for p in pieces]
-            assert np.array_equal(np.concatenate(tables), whole)
-        assert np.array_equal(objective_values(form, shift, range(form.space_size)), whole)
-        out = objective_values(form, shift, pieces[-1], scratch)
+        tables = [objective_values(form, shift, p, scratch, lower).copy() for p in pieces]
+        assert np.array_equal(np.concatenate(tables), whole)
+        assert np.array_equal(objective_values(form, shift, range(form.space_size), lower=lower), whole)
+        out = objective_values(form, shift, pieces[-1], scratch, lower)
         assert out.base is scratch and np.array_equal(out, whole[pieces[-1].start :])
+
+    def test_a_piece_comes_with_the_lower_rows(self):
+        form = encode(random_instance(4, seed=3), "qubo-h")
+        with pytest.raises(ValueError, match="lower_rows"):
+            objective_values(form, 0, range(4096))
+        with pytest.raises(ValueError, match="lower_rows"):
+            objective_values(form, 0, lower=lower_rows(form))
 
     def test_one_piece_up_to_the_piece_size(self, monkeypatch):
         form = encode(random_instance(4, seed=3), "qubo-h")
@@ -125,7 +131,7 @@ class TestPieces:
         for piece in (range(1, 4096), range(0, 4095), range(0, 8192, 2), range(4096, 4096),
                       range(0, 2 * form.space_size)):
             with pytest.raises(ValueError, match="whole blocks"):
-                objective_values(form, 0, piece)
+                objective_values(form, 0, piece, lower=lower_rows(form))
 
     def test_oversized_space_has_no_pieces(self):
         with pytest.raises(SpaceScaleError):
